@@ -4,7 +4,8 @@ The time axis is a deterministic step clock: one step per processed node
 (a node is processed when its relaxation is solved). Incumbents are logged
 against that clock so downstream metrics are machine-independent. A
 rounding dive runs at the root, or at every node under aggressive
-heuristic emphasis, and feeds the optional solution pool.
+heuristic emphasis, and feeds the optional solution pool. Each child
+node's LP is warm-started from its parent's optimal basis.
 """
 
 from __future__ import annotations
@@ -35,13 +36,12 @@ class InfeasibleSubproblem(Exception):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Budget and behavior knobs. ``seed`` is reserved; the solver is deterministic."""
+    """Budget and behavior knobs; the solver is deterministic."""
 
     step_limit: int
     heuristic_emphasis: str = "off"
     collect_pool: bool = False
     pool_size: int = 1
-    seed: int = 0
 
     def __post_init__(self):
         if self.step_limit < 1:
@@ -121,18 +121,20 @@ def solve(
         if key not in pool:
             pool[key] = (objective, values.copy())
 
-    # heap entries: (parent LP bound, insertion counter, lo, hi)
+    # heap entries: (parent LP bound, insertion counter, lo, hi, parent's optimal basis)
     counter = 0
-    heap: list[tuple[float, int, np.ndarray, np.ndarray]] = [(-math.inf, counter, lo, hi)]
+    heap: list[tuple[float, int, np.ndarray, np.ndarray, np.ndarray | None]] = [
+        (-math.inf, counter, lo, hi, None)
+    ]
     step = 0
     root_infeasible = False
 
     while heap and step < config.step_limit:
-        bound_est, _, lo_n, hi_n = heapq.heappop(heap)
+        bound_est, _, lo_n, hi_n, basis = heapq.heappop(heap)
         if bound_est >= incumbent_obj - PRUNE_TOL:
             continue  # stale: no strictly better solution under this node
         step += 1
-        res = _solve_lp_arrays(c, A, b, lo_n, hi_n)
+        res = _solve_lp_arrays(c, A, b, lo_n, hi_n, basis=basis)
         if res.status == "infeasible":
             if step == 1:
                 root_infeasible = True
@@ -162,9 +164,9 @@ def solve(
             lo_up = lo_n.copy()
             lo_up[j] = math.ceil(v)
             counter += 1
-            heapq.heappush(heap, (node_bound, counter, lo_n, hi_dn))
+            heapq.heappush(heap, (node_bound, counter, lo_n, hi_dn, res.basis))
             counter += 1
-            heapq.heappush(heap, (node_bound, counter, lo_up, hi_n))
+            heapq.heappush(heap, (node_bound, counter, lo_up, hi_n, res.basis))
 
         for obj, vals in candidates:
             pool_add(vals, obj)

@@ -261,14 +261,6 @@ def _graph_term(probs: np.ndarray, item: GraphTargets, want_grad: bool):
     return term, grad
 
 
-def _batch_loss(model: GcnnModel, batch: TrainingBatch, loss_mode: str) -> float:
-    if loss_mode == "minibatch":
-        return loss_minibatch(model, batch)
-    if loss_mode == "fullbatch":
-        return loss_fullbatch(model, batch)
-    raise ValueError(f"unknown loss_mode {loss_mode!r}")
-
-
 def loss_minibatch(model: GcnnModel, batch: TrainingBatch) -> float:
     """Average over graphs of (per-graph node-averaged negative log-likelihood)."""
     if not batch:

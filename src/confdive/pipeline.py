@@ -252,7 +252,6 @@ def collect_solver_config(config: PipelineConfig) -> SolverConfig:
         heuristic_emphasis=config.collect_emphasis,
         collect_pool=True,
         pool_size=config.pool_size,
-        seed=config.seed,
     )
 
 
@@ -341,7 +340,6 @@ def eval_solver_config(config: PipelineConfig) -> SolverConfig:
         step_limit=config.step_limit,
         heuristic_emphasis=config.emphasis,
         collect_pool=False,
-        seed=config.seed,
     )
 
 

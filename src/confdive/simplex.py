@@ -1,6 +1,23 @@
-"""Dense two-phase simplex for the LP relaxation of a (possibly fixed) instance.
+"""Dense simplex for the LP relaxation of a (possibly fixed) instance.
 
-Dantzig pricing with a switch to Bland's rule after 1000 degenerate pivots.
+Two paths share one tableau pivot, ``_pivot``:
+
+- A bounded dual simplex, used when every variable has a finite lower bound
+  and no cost pushes a variable toward an infinite upper bound (every binary
+  instance qualifies). Upper bounds are implicit: a nonbasic variable sits at
+  the bound that the sign of its reduced cost selects, so the tableau has one
+  row per constraint and one column per variable and slack, with no cap rows
+  and no artificials. The slack basis is then dual feasible, so there is no
+  phase 1, and the optimal basis of an LP over the same rows is a valid warm
+  start after any bound change: branch and bound hands each child its
+  parent's basis. The leaving row is the one with the largest bound
+  violation.
+- A two-phase primal simplex with Dantzig pricing for the rest (free
+  variables, or a cost that pushes a variable toward an infinite bound).
+  Finite ranges become cap rows.
+
+Both switch to smallest-index rules after DEGENERATE_PIVOT_LIMIT consecutive
+degenerate pivots, and raise NumericalBreakdown at the iteration limit.
 Feasibility tolerance 1e-7, optimality tolerance 1e-9. Instances at desk
 scale (a few hundred variables) need no sparse machinery.
 """
@@ -20,6 +37,8 @@ FEASIBILITY_TOL = 1e-7
 OPTIMALITY_TOL = 1e-9
 PIVOT_TOL = 1e-10
 DEGENERATE_PIVOT_LIMIT = 1000
+#: A warm-start tableau with a larger entry comes from a near-singular basis.
+WARM_START_GROWTH_LIMIT = 1e9
 
 
 class NumericalBreakdown(RuntimeError):
@@ -31,23 +50,13 @@ class LpResult:
     status: LpStatus
     objective: float
     primal_values: np.ndarray
+    #: Optimal basis of the dual path: m column indices into ``[A | I]``.
+    basis: np.ndarray | None = None
 
 
-def solve_lp(
-    instance: MilpInstance,
-    fixings: Mapping[int, float] | None = None,
-    *,
-    bounds: tuple[np.ndarray, np.ndarray] | None = None,
-) -> LpResult:
-    """Solve the LP relaxation with ``fixings`` applied as equality bounds.
-
-    ``bounds`` optionally replaces the instance's (lb, ub) arrays; branch and
-    bound uses it to pass node-local bound tightenings.
-    """
-    if bounds is None:
-        lo, hi = instance.bounds_arrays()
-    else:
-        lo, hi = bounds[0].copy(), bounds[1].copy()
+def solve_lp(instance: MilpInstance, fixings: Mapping[int, float] | None = None) -> LpResult:
+    """Solve the LP relaxation with ``fixings`` applied as equality bounds."""
+    lo, hi = instance.bounds_arrays()
     if fixings:
         for j, v in fixings.items():
             if not 0 <= j < instance.n:
@@ -64,6 +73,204 @@ def solve_lp(
 
 
 def _solve_lp_arrays(
+    c: np.ndarray,
+    A: np.ndarray,
+    b: np.ndarray,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    basis: np.ndarray | None = None,
+) -> LpResult:
+    """min c.x s.t. A x <= b, lo <= x <= hi.
+
+    ``basis`` (m column indices into ``[A | I]``, as returned in
+    ``LpResult.basis``) warm-starts the dual path; a singular or stale one is
+    replaced by the slack basis. The primal path ignores it.
+    """
+    if _dual_applies(c, lo, hi):
+        return _solve_dual(c, A, b, lo, hi, basis)
+    return _solve_primal(c, A, b, lo, hi)
+
+
+def _dual_applies(c: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> bool:
+    """The slack basis is dual feasible: no variable is pushed toward an infinite bound."""
+    return bool(np.all(np.isfinite(lo)) and np.all(np.isfinite(hi) | (c >= -OPTIMALITY_TOL)))
+
+
+def _solve_dual(
+    c: np.ndarray,
+    A: np.ndarray,
+    b: np.ndarray,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    basis: np.ndarray | None,
+) -> LpResult:
+    m, n = A.shape
+    if np.any(lo > hi + FEASIBILITY_TOL):
+        return LpResult("infeasible", float("inf"), np.full(n, np.nan))
+    # columns: n structural variables, then m slacks s = b - A x >= 0
+    lo_f = np.concatenate([lo, np.zeros(m)])
+    hi_f = np.concatenate([hi, np.full(m, np.inf)])
+    c_f = np.concatenate([c, np.zeros(m)])
+    K = np.empty((m, n + m + 1))
+    K[:, :n] = A
+    K[:, n:-1] = np.eye(m)
+    K[:, -1] = b
+
+    start = None if basis is None else _warm_start(K, c_f, lo_f, hi_f, basis)
+    if start is None:
+        slack = np.arange(n, n + m)
+        start = K, np.append(c_f, 0.0), slack, _at_upper(c_f, lo_f, hi_f)
+    M, costrow, basis, at_upper = start
+    nonbasic = np.ones(n + m, dtype=bool)
+    nonbasic[basis] = False
+    # the last column holds the basic values once the nonbasic ones are moved out
+    M[:, -1] -= M[:, :-1] @ np.where(at_upper, hi_f, lo_f * nonbasic)
+
+    p = _dual_pivot_until_feasible(M, costrow, basis, at_upper, nonbasic, lo_f, hi_f)
+    if p is not None:
+        if _proves_infeasible(M[p, n:-1], A, b, lo_f, hi_f):
+            return LpResult("infeasible", float("inf"), np.full(n, np.nan))
+        return _solve_primal(c, A, b, lo, hi)  # the certificate did not survive recomputation
+    x = np.where(at_upper, hi_f, lo_f)[:n]
+    structural = basis < n
+    x[basis[structural]] = M[structural, -1]
+    np.clip(x, lo, hi, out=x)
+    _check_rows(A, b, x)
+    return LpResult("optimal", float(c @ x), x, basis.copy())
+
+
+def _at_upper(d: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray | None:
+    """Columns whose reduced cost puts them at their upper bound (basic ones have d = 0).
+
+    Returns None when a negative reduced cost meets an infinite upper bound,
+    i.e. the basis is not dual feasible.
+    """
+    up = (d < -OPTIMALITY_TOL) & (lo < hi)
+    if not np.all(np.isfinite(hi[up])):
+        return None
+    return up
+
+
+def _warm_start(
+    K: np.ndarray, c_f: np.ndarray, lo_f: np.ndarray, hi_f: np.ndarray, basis: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
+    """Tableau, cost row, basis and bound positions for ``basis``; None if unusable.
+
+    ``K`` is ``[A | I | b]``; ``c_f``, ``lo_f`` and ``hi_f`` cover its columns.
+    """
+    m = K.shape[0]
+    basis = np.asarray(basis)
+    if (
+        basis.shape != (m,)
+        or not np.issubdtype(basis.dtype, np.integer)
+        or (m and (basis.min() < 0 or basis.max() >= K.shape[1] - 1))
+        or np.unique(basis).size != m
+    ):
+        return None
+    try:
+        M = np.linalg.solve(K[:, basis], K)
+    except np.linalg.LinAlgError:
+        return None
+    if not np.all(np.abs(M[:, :-1]) <= WARM_START_GROWTH_LIMIT):  # also rejects nan
+        return None
+    basis = basis.astype(np.int64)
+    M[:, basis] = np.eye(m)
+    costrow = np.append(c_f, 0.0) - c_f[basis] @ M
+    costrow[basis] = 0.0
+    at_upper = _at_upper(costrow[:-1], lo_f, hi_f)
+    if at_upper is None:
+        return None
+    return M, costrow, basis, at_upper
+
+
+def _dual_pivot_until_feasible(
+    M: np.ndarray,
+    costrow: np.ndarray,
+    basis: np.ndarray,
+    at_upper: np.ndarray,
+    nonbasic: np.ndarray,
+    lo: np.ndarray,
+    hi: np.ndarray,
+) -> int | None:
+    """Pivot until every basic value is within its bounds.
+
+    Returns None at the optimum, or a row whose basic variable cannot reach
+    its bounds, which proves the LP infeasible.
+    """
+    if not M.shape[0]:
+        return None
+    enterable = nonbasic & (lo < hi)  # a fixed column never enters
+    lo_b, hi_b = lo[basis], hi[basis]
+    degenerate = 0
+    bland = False
+    for _ in range(_iteration_limit(M)):
+        values = M[:, -1]
+        above = values - hi_b
+        violation = np.maximum(lo_b - values, above)
+        p = int(np.argmax(violation))
+        if violation[p] <= FEASIBILITY_TOL:
+            return None
+        if bland:
+            rows = np.flatnonzero(violation > FEASIBILITY_TOL)
+            p = int(rows[np.argmin(basis[rows])])
+        to_upper = bool(above[p] > 0.0)
+        # s_alpha_j > 0: raising x_j moves the leaving value toward the bound it leaves at
+        s_alpha = M[p, :-1] if to_upper else -M[p, :-1]
+        toward = np.where(at_upper, -s_alpha, s_alpha)
+        cand = np.flatnonzero(enterable & (toward > PIVOT_TOL))
+        if cand.size == 0:
+            return p
+        ratios = np.maximum(costrow[cand] / s_alpha[cand], 0.0)
+        best = ratios.min()
+        tied = cand[ratios <= best + 1e-12]
+        if bland:
+            q = int(tied[0])
+        else:
+            q = int(tied[np.argmax(np.abs(s_alpha[tied]))])
+        if best <= 1e-12:
+            degenerate += 1
+            if degenerate >= DEGENERATE_PIVOT_LIMIT:
+                bland = True
+        else:
+            degenerate = 0
+        leaving = int(basis[p])
+        entering_value = hi[q] if at_upper[q] else lo[q]
+        leaving_value = hi[leaving] if to_upper else lo[leaving]
+        _pivot(M, costrow, basis, p, q)
+        M[:, -1] -= leaving_value * M[:, leaving]
+        M[p, -1] += entering_value
+        lo_b[p], hi_b[p] = lo[q], hi[q]
+        nonbasic[q] = at_upper[q] = enterable[q] = False
+        nonbasic[leaving], at_upper[leaving] = True, to_upper
+        enterable[leaving] = lo[leaving] < hi[leaving]
+    raise NumericalBreakdown("dual simplex iteration limit exceeded")
+
+
+def _proves_infeasible(
+    u: np.ndarray, A: np.ndarray, b: np.ndarray, lo: np.ndarray, hi: np.ndarray
+) -> bool:
+    """Farkas check from the original data: u.(A x + s) = u.b has no solution in the box.
+
+    ``lo``/``hi`` bound the structural variables and then the slacks.
+    Coefficients below PIVOT_TOL count as zero.
+    """
+    w = np.concatenate([u @ A, u])
+    w[np.abs(w) <= PIVOT_TOL] = 0.0
+    pos, neg = w > 0.0, w < 0.0
+    low = w[pos] @ lo[pos] + w[neg] @ hi[neg]
+    high = w[pos] @ hi[pos] + w[neg] @ lo[neg]
+    rhs = float(u @ b)
+    return rhs < low - FEASIBILITY_TOL or rhs > high + FEASIBILITY_TOL
+
+
+def _check_rows(A: np.ndarray, b: np.ndarray, x: np.ndarray) -> None:
+    if A.shape[0]:
+        worst = float(np.max(A @ x - b))
+        if worst > 1e-6:
+            raise NumericalBreakdown(f"optimal point violates a row by {worst:.3e}")
+
+
+def _solve_primal(
     c: np.ndarray, A: np.ndarray, b: np.ndarray, lo: np.ndarray, hi: np.ndarray
 ) -> LpResult:
     n = c.shape[0]
@@ -127,10 +334,7 @@ def _solve_lp_arrays(
     np.clip(x, lo, hi, out=x)
     if status == "unbounded":
         return LpResult("unbounded", float("-inf"), x)
-    if m:
-        worst = float(np.max(A @ x - b))
-        if worst > 1e-6:
-            raise NumericalBreakdown(f"optimal point violates a row by {worst:.3e}")
+    _check_rows(A, b, x)
     return LpResult("optimal", float(c @ x), x)
 
 
@@ -195,8 +399,7 @@ def _pivot_until_optimal(
 ) -> LpStatus:
     degenerate = 0
     bland = False
-    max_iter = 20000 + 200 * (M.shape[0] + M.shape[1])
-    for _ in range(max_iter):
+    for _ in range(_iteration_limit(M)):
         red = costrow[:-1]
         candidates = np.flatnonzero((red < -OPTIMALITY_TOL) & enterable)
         if candidates.size == 0:
@@ -228,6 +431,10 @@ def _pivot_until_optimal(
             degenerate = 0
         _pivot(M, costrow, basis, p, q)
     raise NumericalBreakdown("simplex iteration limit exceeded")
+
+
+def _iteration_limit(M: np.ndarray) -> int:
+    return 20000 + 200 * (M.shape[0] + M.shape[1])
 
 
 def _pivot(M: np.ndarray, costrow: np.ndarray, basis: np.ndarray, p: int, q: int) -> None:

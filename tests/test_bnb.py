@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from confdive import bnb
 from confdive.bnb import (
     InfeasibleSubproblem,
     SolverConfig,
@@ -183,6 +184,28 @@ class TestPool:
             assert a.objective == b.objective
             assert np.array_equal(a.values, b.values)
         assert serialize_pool(back, inst) == text
+
+
+def test_children_warm_start_from_their_parent_basis(monkeypatch):
+    solves = []
+    original = bnb._solve_lp_arrays
+
+    def recording(c, A, b, lo, hi, basis=None):
+        res = original(c, A, b, lo, hi, basis=basis)
+        solves.append((lo.copy(), hi.copy(), basis, res))
+        return res
+
+    monkeypatch.setattr(bnb, "_solve_lp_arrays", recording)
+    monkeypatch.setattr(bnb, "_dive_arrays", lambda *args: None)  # node LPs only
+    inst = generate_covering(14, 22, 16)
+    traj, _ = solve(inst, {}, SolverConfig(step_limit=40))
+    assert len(solves) == traj.terminal_step > 10
+    assert solves[0][2] is None
+    parents = {id(res.basis): (lo, hi) for lo, hi, _, res in solves if res.basis is not None}
+    for lo, hi, basis, _ in solves[1:]:
+        assert basis is not None and id(basis) in parents
+        plo, phi = parents[id(basis)]
+        assert np.count_nonzero((lo != plo) | (hi != phi)) == 1  # a child differs by one bound
 
 
 def test_determinism():
