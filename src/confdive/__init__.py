@@ -34,6 +34,7 @@ from .evaluation import (
     EventBeyondHorizon,
     compare,
     cumulative_reward,
+    eval_configs,
     plot_primal_bound,
     primal_integral,
     rows_to_csv,

@@ -18,9 +18,9 @@ import numpy as np
 from . import bnb
 from .bnb import IncumbentTrajectory, InfeasibleSubproblem, SolverConfig
 from .encoder import BipartiteGraph, encode
-from .evaluation import EvalConfig, primal_integral, worst_case_objective
+from .evaluation import eval_configs, primal_integral
 from .gcnn import GcnnModel, forward
-from .instances import ORACLE_MAX_VARS, MilpInstance, brute_force_solve
+from .instances import MilpInstance
 
 #: Default threshold grid; brackets both conservative and aggressive fixing.
 DEFAULT_GRID = (0.55, 0.60, 0.65, 0.70, 0.75, 0.80, 0.85, 0.90, 0.95, 0.99, 1.0)
@@ -61,7 +61,7 @@ class ThresholdReport:
     best_t: float
 
 
-def _check_threshold(t: float) -> float:
+def check_threshold(t: float) -> float:
     t = float(t)
     if not 0.5 < t <= 1.0:
         raise InvalidThreshold(f"threshold must lie in (0.5, 1.0], got {t}")
@@ -72,8 +72,8 @@ def fix_by_threshold(
     probs: np.ndarray, t: float, *, zero_threshold: float | None = None
 ) -> PartialAssignment:
     """Fix positions with p >= t to 1 and p <= 1 - t0 to 0 (t0 = t unless asymmetric)."""
-    t = _check_threshold(t)
-    t0 = t if zero_threshold is None else _check_threshold(zero_threshold)
+    t = check_threshold(t)
+    t0 = t if zero_threshold is None else check_threshold(zero_threshold)
     probs = np.asarray(probs, dtype=np.float64)
     if probs.size and (probs.min() <= 0.0 or probs.max() >= 1.0):
         raise ValueError("probabilities must lie strictly inside (0, 1)")
@@ -140,42 +140,24 @@ def grid_search(
     grid: Sequence[float],
     config: SolverConfig,
     *,
-    references: Sequence[float] | None = None,
     map_fn=map,
 ) -> ThresholdReport:
     """Evaluate every (instance, threshold) cell and rank thresholds.
 
-    The per-instance reference objective is the brute-force optimum when the
-    oracle can afford it, otherwise the best final objective seen across all
-    executed cells ("best-known"); a per-instance constant offsets every
-    threshold's mean equally, so the ranking does not depend on that choice.
+    Each instance's reference objective comes from
+    :func:`~confdive.evaluation.eval_configs` over all of its cells.
     ``map_fn`` may be a parallel map; aggregation stays an ordered fold.
     """
     if not grid:
         raise ValueError("threshold grid is empty")
-    ts = tuple(sorted({_check_threshold(t) for t in grid}))
-    if references is not None and len(references) != len(instances):
-        raise ValueError("need one reference objective per instance")
+    ts = tuple(sorted({check_threshold(t) for t in grid}))
 
     per_instance = list(
         map_fn(_instance_cells, [(inst, model, ts, config) for inst in instances])
     )
-
-    cfgs: list[EvalConfig] = []
-    for i, instance in enumerate(instances):
-        no_inc = worst_case_objective(instance)
-        if references is not None:
-            ref = references[i]
-        elif instance.n <= ORACLE_MAX_VARS and bool(instance.binary_mask().all()):
-            ref = brute_force_solve(instance).objective
-        else:
-            finals = [
-                traj.final_objective()
-                for traj, _ in per_instance[i]
-                if traj.final_objective() is not None
-            ]
-            ref = min(finals) if finals else no_inc
-        cfgs.append(EvalConfig(config.step_limit, ref, max(no_inc, ref)))
+    cfgs = eval_configs(
+        instances, [[traj for traj, _ in cells] for cells in per_instance], config.step_limit
+    )
 
     rows: list[ThresholdRow] = []
     for k, t in enumerate(ts):

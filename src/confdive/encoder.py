@@ -74,26 +74,19 @@ def encode(instance: MilpInstance, include_root_lp: bool = True) -> BipartiteGra
 
     rhs = np.array([con.rhs for con in instance.constraints], dtype=np.float64)
     rhs_denom = max(float(np.max(np.abs(rhs))) if m else 0.0, 1.0)
+    rows, cols, coefs = instance.row_terms()
+    row_max = np.zeros(m)
+    np.maximum.at(row_max, rows, np.abs(coefs))
     con_feats = np.zeros((m, CON_FEATURE_DIM))
-    edge_con: list[int] = []
-    edge_var: list[int] = []
-    edge_feat: list[float] = []
-    for i, con in enumerate(instance.constraints):
-        coefs = np.array([a for _, a in con.terms], dtype=np.float64)
-        con_feats[i, 0] = con.rhs / rhs_denom
-        con_feats[i, 1] = len(con.terms) / n
-        row_denom = max(float(np.max(np.abs(coefs))) if coefs.size else 0.0, 1e-12)
-        for j, a in con.terms:
-            edge_con.append(i)
-            edge_var.append(j)
-            edge_feat.append(a / row_denom)
+    con_feats[:, 0] = rhs / rhs_denom
+    con_feats[:, 1] = np.bincount(rows, minlength=m) / n
 
     return BipartiteGraph(
         var_feats=var_feats,
         con_feats=con_feats,
-        edge_con=np.asarray(edge_con, dtype=np.int64),
-        edge_var=np.asarray(edge_var, dtype=np.int64),
-        edge_feat=np.asarray(edge_feat, dtype=np.float64),
+        edge_con=rows,
+        edge_var=cols,
+        edge_feat=coefs / np.maximum(row_max, 1e-12)[rows],
         binary_mask=binary,
     )
 

@@ -10,12 +10,12 @@ deterministic bytes with no plotting dependency.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .bnb import IncumbentTrajectory
-from .instances import MilpInstance
+from .instances import ORACLE_MAX_VARS, MilpInstance, brute_force_solve
 
 SVG_WIDTH = 800
 SVG_HEIGHT = 500
@@ -83,6 +83,33 @@ def worst_case_objective(instance: MilpInstance) -> float:
     return float(worst.sum())
 
 
+def eval_configs(
+    instances: Sequence[MilpInstance],
+    runs: Sequence[Sequence[IncumbentTrajectory]],
+    step_limit: int,
+) -> list[EvalConfig]:
+    """One EvalConfig per instance; ``runs[i]`` holds every compared trajectory on it.
+
+    The reference objective is the brute-force optimum when the oracle can
+    afford the instance (all binary, at most ORACLE_MAX_VARS variables),
+    otherwise the best final objective among the runs, otherwise the
+    worst-case objective. A per-instance constant offsets every method's
+    primal integral equally, so rankings do not depend on that choice.
+    """
+    if len(runs) != len(instances):
+        raise ValueError("need one set of runs per instance")
+    cfgs: list[EvalConfig] = []
+    for instance, trajs in zip(instances, runs):
+        no_inc = worst_case_objective(instance)
+        if instance.n <= ORACLE_MAX_VARS and bool(instance.binary_mask().all()):
+            ref = brute_force_solve(instance).objective
+        else:
+            finals = [t.final_objective() for t in trajs if t.final_objective() is not None]
+            ref = min(finals) if finals else no_inc
+        cfgs.append(EvalConfig(step_limit, ref, max(no_inc, ref)))
+    return cfgs
+
+
 def make_row(
     instance_name: str, method: str, traj: IncumbentTrajectory, cfg: EvalConfig
 ) -> EvalRow:
@@ -99,22 +126,24 @@ def make_row(
 
 def compare(
     instances: Sequence[MilpInstance],
-    methods: Sequence[tuple[str, Callable[[MilpInstance], IncumbentTrajectory]]],
+    methods: Sequence[tuple[str, Sequence[IncumbentTrajectory]]],
     cfgs: Sequence[EvalConfig],
 ) -> tuple[list[EvalRow], dict[str, tuple[float, float]]]:
-    """Run every labeled method on every instance under its EvalConfig.
+    """Score every labeled method's trajectory on each instance under its EvalConfig.
 
+    Each method carries one trajectory per instance, in instance order.
     Returns per-(instance, method) rows plus per-method
     (mean primal integral, mean cumulative reward) summaries.
     """
     if len(instances) != len(cfgs):
         raise ValueError("need one EvalConfig per instance")
+    if any(len(trajs) != len(instances) for _, trajs in methods):
+        raise ValueError("need one trajectory per instance for every method")
     rows: list[EvalRow] = []
     per_method: dict[str, list[float]] = {label: [] for label, _ in methods}
-    for instance, cfg in zip(instances, cfgs):
-        for label, run in methods:
-            traj = run(instance)
-            row = make_row(instance.name, label, traj, cfg)
+    for i, (instance, cfg) in enumerate(zip(instances, cfgs)):
+        for label, trajs in methods:
+            row = make_row(instance.name, label, trajs[i], cfg)
             rows.append(row)
             per_method[label].append(row.primal_integral)
     summary = {

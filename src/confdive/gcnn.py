@@ -465,7 +465,7 @@ def save_model(model: GcnnModel) -> str:
 
 def load_model(text: str) -> GcnnModel:
     lines = [ln for ln in text.splitlines() if ln.strip()]
-    header = lines[0].split()
+    header = lines[0].split() if lines else []
     if len(header) != 2 or header[0] != "GCNN":
         raise ValueError("not a GCNN model file")
     version = int(header[1])
@@ -477,14 +477,19 @@ def load_model(text: str) -> GcnnModel:
         key, value = lines[i].split()
         meta[key] = int(value)
         i += 1
+    missing = [key for key in ("hidden_dim", "f_var", "f_con") if key not in meta]
+    if missing:
+        raise ValueError(f"model header misses {', '.join(missing)}")
     arrays: dict[str, np.ndarray] = {}
     while i < len(lines):
         tokens = lines[i].split()
-        if tokens[0] != "PARAM":
-            raise ValueError(f"expected PARAM line, got {lines[i]!r}")
+        if tokens[0] != "PARAM" or len(tokens) not in (3, 4):
+            raise ValueError(f"expected PARAM <name> <shape>, got {lines[i]!r}")
         name = tokens[1]
         if len(tokens) == 4:
             rows, cols = int(tokens[2]), int(tokens[3])
+            if i + rows >= len(lines):
+                raise ValueError(f"parameter {name} is truncated")
             block = [
                 np.array([float(x) for x in lines[i + 1 + r].split()], dtype=np.float64)
                 for r in range(rows)
@@ -495,6 +500,8 @@ def load_model(text: str) -> GcnnModel:
             i += 1 + rows
         else:
             length = int(tokens[2])
+            if i + 1 >= len(lines):
+                raise ValueError(f"parameter {name} is truncated")
             arr = np.array([float(x) for x in lines[i + 1].split()], dtype=np.float64)
             if arr.shape != (length,):
                 raise ValueError(f"parameter {name} has length {arr.shape[0]}, expected {length}")

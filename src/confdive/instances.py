@@ -17,6 +17,7 @@ lines. Floats are written with ``repr`` so round-trips are exact.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterable, Literal
 
@@ -169,15 +170,20 @@ class MilpInstance:
     def binary_mask(self) -> np.ndarray:
         return np.array([v.kind == "binary" for v in self.vars], dtype=bool)
 
+    def row_terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(row, col, coef) of every stored term, row by row and in term order."""
+        counts = [len(con.terms) for con in self.constraints]
+        rows = np.repeat(np.arange(self.m, dtype=np.int64), counts)
+        cols = np.array([j for con in self.constraints for j, _ in con.terms], dtype=np.int64)
+        coefs = np.array([a for con in self.constraints for _, a in con.terms], dtype=np.float64)
+        return rows, cols, coefs
+
     def dense_matrix(self) -> tuple[np.ndarray, np.ndarray]:
         """Dense (A, b) of the canonical ``A x <= b`` system."""
         A = np.zeros((self.m, self.n), dtype=np.float64)
-        b = np.zeros(self.m, dtype=np.float64)
-        for i, con in enumerate(self.constraints):
-            for j, a in con.terms:
-                A[i, j] = a
-            b[i] = con.rhs
-        return A, b
+        rows, cols, coefs = self.row_terms()
+        A[rows, cols] = coefs
+        return A, np.array([con.rhs for con in self.constraints], dtype=np.float64)
 
 
 @dataclass(frozen=True, eq=False)
@@ -238,19 +244,13 @@ def _parse_float(token: str, line_no: int, col: int) -> float:
     return x
 
 
-def _token_col(line: str, token_index: int) -> int:
-    # 1-based column of the token_index-th whitespace-separated token
-    col = 0
-    remaining = line
-    consumed = 0
-    for _ in range(token_index + 1):
-        stripped = remaining.lstrip()
-        consumed += len(remaining) - len(stripped)
-        col = consumed + 1
-        cut = len(stripped.split(None, 1)[0]) if stripped else 0
-        consumed += cut
-        remaining = stripped[cut:]
-    return col
+_TOKEN = re.compile(r"\S+")
+
+
+def _tokenize(raw: str) -> tuple[list[str], list[int]]:
+    """Whitespace-separated tokens of a line and their 1-based columns."""
+    matches = list(_TOKEN.finditer(raw))
+    return [mt.group() for mt in matches], [mt.start() + 1 for mt in matches]
 
 
 def parse_instance(text: str) -> MilpInstance:
@@ -260,10 +260,9 @@ def parse_instance(text: str) -> MilpInstance:
     raw_rows: list[tuple[str, str, float, list[tuple[int, float]], int]] = []
     saw_name = False
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        tokens, cols = _tokenize(raw)
+        if not tokens or tokens[0].startswith("#"):
             continue
-        tokens = line.split()
         keyword = tokens[0].upper()
         if keyword == "NAME":
             if saw_name:
@@ -279,12 +278,10 @@ def parse_instance(text: str) -> MilpInstance:
                 )
             kind = tokens[2]
             if kind not in VAR_KINDS:
-                raise InstanceFormatError(
-                    f"unknown kind {kind!r}", line_no, _token_col(raw, 2)
-                )
-            lb = _parse_float(tokens[3], line_no, _token_col(raw, 3))
-            ub = _parse_float(tokens[4], line_no, _token_col(raw, 4))
-            obj = _parse_float(tokens[5], line_no, _token_col(raw, 5))
+                raise InstanceFormatError(f"unknown kind {kind!r}", line_no, cols[2])
+            lb = _parse_float(tokens[3], line_no, cols[3])
+            ub = _parse_float(tokens[4], line_no, cols[4])
+            obj = _parse_float(tokens[5], line_no, cols[5])
             var_defs.append(VarDef(tokens[1], kind, lb, ub, obj))  # type: ignore[arg-type]
         elif keyword == "CON":
             if len(tokens) < 4:
@@ -293,13 +290,10 @@ def parse_instance(text: str) -> MilpInstance:
                 )
             sense = tokens[2].lower()
             if sense not in ("le", "ge", "eq"):
-                raise InstanceFormatError(
-                    f"unknown sense {sense!r}", line_no, _token_col(raw, 2)
-                )
-            rhs = _parse_float(tokens[3], line_no, _token_col(raw, 3))
+                raise InstanceFormatError(f"unknown sense {sense!r}", line_no, cols[2])
+            rhs = _parse_float(tokens[3], line_no, cols[3])
             terms: list[tuple[int, float]] = []
-            for t, tok in enumerate(tokens[4:]):
-                col = _token_col(raw, 4 + t)
+            for tok, col in zip(tokens[4:], cols[4:]):
                 idx_str, sep, coef_str = tok.partition(":")
                 if not sep:
                     raise InstanceFormatError(
@@ -354,22 +348,21 @@ def parse_solution(text: str, instance: MilpInstance) -> Assignment:
     objective: float | None = None
     by_name: dict[str, float] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        tokens, cols = _tokenize(raw)
+        if not tokens or tokens[0].startswith("#"):
             continue
-        tokens = line.split()
         if tokens[0].upper() == "SOL":
             if objective is not None:
                 raise InstanceFormatError("duplicate SOL line", line_no, 1)
             if len(tokens) != 2:
                 raise InstanceFormatError("SOL takes exactly one objective", line_no, 1)
-            objective = _parse_float(tokens[1], line_no, _token_col(raw, 1))
+            objective = _parse_float(tokens[1], line_no, cols[1])
         else:
             if len(tokens) != 2:
                 raise InstanceFormatError("expected '<varname> <value>'", line_no, 1)
             if tokens[0] in by_name:
                 raise InstanceFormatError(f"duplicate value for {tokens[0]!r}", line_no, 1)
-            by_name[tokens[0]] = _parse_float(tokens[1], line_no, _token_col(raw, 1))
+            by_name[tokens[0]] = _parse_float(tokens[1], line_no, cols[1])
     if objective is None:
         raise InstanceFormatError("missing SOL line", 1, 1)
     values = np.empty(instance.n, dtype=np.float64)

@@ -16,16 +16,16 @@ from typing import Callable, Iterable
 
 from . import bnb
 from .bnb import IncumbentTrajectory, InfeasibleSubproblem, SolverConfig
-from .diving import DEFAULT_GRID, dive_and_solve, grid_search, report_to_csv
-from .encoder import encode
-from .evaluation import (
-    EvalConfig,
-    compare,
-    plot_primal_bound,
-    rows_to_csv,
-    summary_to_csv,
-    worst_case_objective,
+from .diving import (
+    DEFAULT_GRID,
+    InvalidThreshold,
+    check_threshold,
+    dive_and_solve,
+    grid_search,
+    report_to_csv,
 )
+from .encoder import encode
+from .evaluation import compare, eval_configs, plot_primal_bound, rows_to_csv, summary_to_csv
 from .gcnn import (
     GcnnModel,
     GraphTargets,
@@ -38,9 +38,7 @@ from .gcnn import (
     train,
 )
 from .instances import (
-    ORACLE_MAX_VARS,
     MilpInstance,
-    brute_force_solve,
     generate_covering,
     generate_knapsack,
     parse_instance,
@@ -106,6 +104,15 @@ class PipelineConfig:
             "aggressive",
         ):
             raise UsageError("emphasis must be 'off' or 'aggressive'")
+        if not self.grid:
+            raise UsageError("threshold grid is empty")
+        try:
+            for t in self.grid:
+                check_threshold(t)
+            if self.threshold is not None:
+                check_threshold(self.threshold)
+        except InvalidThreshold as exc:
+            raise UsageError(str(exc)) from None
         return self
 
     @property
@@ -113,33 +120,35 @@ class PipelineConfig:
         return Path(self.outdir)
 
 
-_BOOL_KEYS = {"uniform_weights", "include_root_lp", "svg"}
-_INT_KEYS = {
-    "n_train", "n_valid", "n_test", "n_vars", "n_rows", "n_items", "n_dims",
-    "seed", "collect_step_limit", "pool_size", "hidden_dim", "epochs",
-    "batch_size", "step_limit", "jobs",
+def _parse_bool(value: str) -> bool:
+    if value.lower() not in ("true", "false"):
+        raise ValueError
+    return value.lower() == "true"
+
+
+def _parse_floats(value: str) -> tuple[float, ...]:
+    return tuple(float(tok) for tok in value.split(",") if tok.strip())
+
+
+#: Config-text parser per PipelineConfig annotation (a string under PEP 563).
+_PARSE_BY_TYPE = {
+    "bool": _parse_bool,
+    "int": int,
+    "float": float,
+    "float | None": float,
+    "str": str,
+    "tuple[float, ...]": _parse_floats,
 }
-_FLOAT_KEYS = {"lr", "momentum", "temperature", "threshold"}
-_STR_KEYS = {"family", "collect_emphasis", "loss_mode", "emphasis", "outdir"}
+_PARSERS = {f.name: _PARSE_BY_TYPE[f.type] for f in fields(PipelineConfig)}
 
 
 def _coerce(key: str, value: str):
+    if key not in _PARSERS:
+        raise UsageError(f"unknown config key {key!r}")
     try:
-        if key in _BOOL_KEYS:
-            if value.lower() not in ("true", "false"):
-                raise ValueError
-            return value.lower() == "true"
-        if key in _INT_KEYS:
-            return int(value)
-        if key in _FLOAT_KEYS:
-            return float(value)
-        if key == "grid":
-            return tuple(float(tok) for tok in value.split(",") if tok.strip())
-        if key in _STR_KEYS:
-            return value
+        return _PARSERS[key](value)
     except ValueError:
         raise UsageError(f"bad value {value!r} for config key {key!r}") from None
-    raise UsageError(f"unknown config key {key!r}")
 
 
 def parse_config_text(text: str) -> dict:
@@ -403,36 +412,14 @@ def run_evaluate(config: PipelineConfig):
         [(inst, model, threshold, solver_config) for inst in instances],
         config.jobs,
     )
-    plain_by_name = {inst.name: r[0] for inst, r in zip(instances, runs)}
-    dive_by_name = {inst.name: r[1] for inst, r in zip(instances, runs)}
-
-    cfgs = []
-    for instance, (plain_traj, dive_traj, _) in zip(instances, runs):
-        no_inc = worst_case_objective(instance)
-        if instance.n <= ORACLE_MAX_VARS and bool(instance.binary_mask().all()):
-            ref = brute_force_solve(instance).objective
-        else:
-            finals = [
-                obj
-                for obj in (plain_traj.final_objective(), dive_traj.final_objective())
-                if obj is not None
-            ]
-            ref = min(finals) if finals else no_inc
-        cfgs.append(EvalConfig(config.step_limit, ref, max(no_inc, ref)))
-
-    dive_label = f"diving@t={threshold:g}"
-    methods = [
-        ("plain", lambda inst: plain_by_name[inst.name]),
-        (dive_label, lambda inst: dive_by_name[inst.name]),
-    ]
+    plain, dive, _ = zip(*runs)
+    cfgs = eval_configs(instances, list(zip(plain, dive)), config.step_limit)
+    methods = [("plain", plain), (f"diving@t={threshold:g}", dive)]
     rows, summary = compare(instances, methods, cfgs)
     _atomic_write(config.out / "eval.csv", rows_to_csv(rows))
     _atomic_write(config.out / "summary.csv", summary_to_csv(summary))
     if config.svg:
-        for instance, cfg in zip(instances, cfgs):
-            svg = plot_primal_bound(
-                [("plain", plain_by_name[instance.name]), (dive_label, dive_by_name[instance.name])],
-                cfg,
-            )
+        for i, (instance, cfg) in enumerate(zip(instances, cfgs)):
+            svg = plot_primal_bound([(label, trajs[i]) for label, trajs in methods], cfg)
             _atomic_write(config.out / "plots" / f"{instance.name}.svg", svg)
     return rows, summary

@@ -1,8 +1,10 @@
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 from confdive.cli import main
+from confdive.pipeline import PipelineConfig, load_config
 
 MICRO = """\
 family=covering
@@ -160,3 +162,40 @@ class TestOverrides:
         other = tmp / "elsewhere"
         assert main(["generate", "--config", str(cfg), "--outdir", str(other)]) == 0
         assert (other / "instances").exists()
+
+
+class TestConfigText:
+    def test_every_field_round_trips(self, tmp_path):
+        expected = PipelineConfig(
+            family="knapsack", n_train=3, n_valid=4, n_test=5, n_vars=30, n_rows=9,
+            n_items=11, n_dims=3, seed=7, collect_step_limit=70, collect_emphasis="off",
+            pool_size=4, hidden_dim=6, lr=0.25, momentum=0.5, epochs=2, batch_size=3,
+            loss_mode="fullbatch", temperature=0.75, uniform_weights=True,
+            include_root_lp=False, grid=(0.6, 0.95), step_limit=80, emphasis="aggressive",
+            threshold=0.85, svg=True, jobs=2, outdir=str(tmp_path / "o"),
+        )
+        values = {f.name: getattr(expected, f.name) for f in fields(PipelineConfig)}
+        defaults = PipelineConfig()
+        assert all(value != getattr(defaults, key) for key, value in values.items())
+        text = "".join(
+            f"{key}={','.join(map(str, value)) if key == 'grid' else value}\n"
+            for key, value in values.items()
+        )
+        cfg = tmp_path / "all.cfg"
+        cfg.write_text(text)
+        assert load_config(cfg) == expected
+
+    @pytest.mark.parametrize(
+        "extra, args, message",
+        [
+            ("", ["--threshold", "0.3"], "threshold must lie in (0.5, 1.0], got 0.3"),
+            ("grid=0.3,0.8\n", [], "threshold must lie in (0.5, 1.0], got 0.3"),
+            ("grid=\n", [], "threshold grid is empty"),
+        ],
+    )
+    def test_bad_thresholds_rejected_before_any_work(self, workdir, capsys, extra, args, message):
+        tmp, cfg = workdir
+        cfg.write_text(cfg.read_text() + extra)
+        assert main(["generate", "--config", str(cfg), *args]) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp / "out").exists()

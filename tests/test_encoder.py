@@ -121,3 +121,26 @@ def test_deterministic_encoding():
     assert np.array_equal(a.var_feats, b.var_feats)
     assert np.array_equal(a.con_feats, b.con_feats)
     assert np.array_equal(a.edge_feat, b.edge_feat)
+
+
+def test_row_form_keeps_term_order_and_zero_coefficients():
+    inst = parse_instance(
+        "VAR a binary 0 1 1\nVAR b binary 0 1 2\nVAR c binary 0 1 3\nVAR d binary 0 1 4\n"
+        "CON r le 4 3:2 0:-4 2:0\nCON s ge 1 1:1\nCON t le 0\n"
+    )
+    rows, cols, coefs = inst.row_terms()
+    assert rows.tolist() == [0, 0, 0, 1]
+    assert cols.tolist() == [3, 0, 2, 1]
+    assert coefs.tolist() == [2.0, -4.0, 0.0, -1.0]
+
+    g = encode(inst)
+    assert g.edges == [(0, 3, 0.5), (0, 0, -1.0), (0, 2, 0.0), (1, 1, -1.0)]
+    assert g.con_feats[:, 1].tolist() == [3 / 4, 1 / 4, 0.0]
+
+    A_walk = np.zeros((inst.m, inst.n))
+    for i, con in enumerate(inst.constraints):
+        for j, a in con.terms:
+            A_walk[i, j] = a
+    A, b = inst.dense_matrix()
+    assert np.array_equal(A, A_walk)
+    assert b.tolist() == [4.0, -1.0, 0.0]

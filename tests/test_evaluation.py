@@ -12,6 +12,7 @@ from confdive.evaluation import (
     EventBeyondHorizon,
     compare,
     cumulative_reward,
+    eval_configs,
     make_row,
     plot_primal_bound,
     primal_integral,
@@ -126,6 +127,30 @@ class TestWorstCase:
             assert worst_case_objective(inst) == pytest.approx(best, abs=1e-9)
 
 
+class TestEvalConfigs:
+    def test_oracle_reference_for_small_binary_instances(self):
+        inst = generate_covering(61, 10, 6)
+        (cfg,) = eval_configs([inst], [[traj([(0, 1e6)])]], 40)
+        assert cfg == EvalConfig(40, brute_force_solve(inst).objective, worst_case_objective(inst))
+
+    def test_best_final_across_runs_beyond_the_oracle(self):
+        inst = generate_covering(62, 30, 12)
+        runs = [[traj([(0, 90.0), (5, 70.0)]), traj([]), traj([(2, 80.0)])]]
+        (cfg,) = eval_configs([inst], runs, 60)
+        assert cfg == EvalConfig(60, 70.0, worst_case_objective(inst))
+
+    def test_worst_case_without_any_incumbent(self):
+        inst = generate_covering(63, 30, 12)
+        (cfg,) = eval_configs([inst], [[traj([]), traj([])]], 60)
+        worst = worst_case_objective(inst)
+        assert cfg == EvalConfig(60, worst, worst)
+        assert primal_integral(traj([]), cfg) == 0.0
+
+    def test_one_set_of_runs_per_instance(self):
+        with pytest.raises(ValueError):
+            eval_configs([generate_covering(64, 10, 6)], [], 60)
+
+
 class TestCompare:
     def test_method_against_itself(self):
         instances = [generate_covering(s + 75, 10, 6) for s in range(3)]
@@ -133,8 +158,9 @@ class TestCompare:
             EvalConfig(100, brute_force_solve(i).objective, worst_case_objective(i))
             for i in instances
         ]
-        runner = lambda inst: solve(inst, {}, SolverConfig(step_limit=100))[0]
-        rows, summary = compare(instances, [("a", runner), ("b", runner)], cfgs)
+        a = [solve(inst, {}, SolverConfig(step_limit=100))[0] for inst in instances]
+        b = [solve(inst, {}, SolverConfig(step_limit=100))[0] for inst in instances]
+        rows, summary = compare(instances, [("a", a), ("b", b)], cfgs)
         by_instance = {}
         for row in rows:
             by_instance.setdefault(row.instance, []).append(row)
@@ -152,8 +178,8 @@ class TestCompare:
         ]
         solver_cfg = SolverConfig(step_limit=150)
         methods = [
-            ("plain", lambda inst: solve(inst, {}, solver_cfg)[0]),
-            ("dive1.0", lambda inst: dive_and_solve(inst, model, 1.0, solver_cfg)[0]),
+            ("plain", [solve(inst, {}, solver_cfg)[0] for inst in instances]),
+            ("dive1.0", [dive_and_solve(inst, model, 1.0, solver_cfg)[0] for inst in instances]),
         ]
         rows, _ = compare(instances, methods, cfgs)
         for i in range(0, len(rows), 2):
@@ -164,7 +190,7 @@ class TestCompare:
         cfgs = [EvalConfig(50, brute_force_solve(instances[0]).objective,
                            worst_case_objective(instances[0]))]
         rows, summary = compare(
-            instances, [("m", lambda i: solve(i, {}, SolverConfig(step_limit=50))[0])], cfgs
+            instances, [("m", [solve(instances[0], {}, SolverConfig(step_limit=50))[0]])], cfgs
         )
         text = rows_to_csv(rows)
         lines = text.splitlines()
@@ -177,6 +203,11 @@ class TestCompare:
         assert float(fields[2]) == -float(fields[3])
         stext = summary_to_csv(summary)
         assert stext.splitlines()[0] == "method,mean_primal_integral,mean_cumulative_reward"
+
+    def test_one_trajectory_per_instance(self):
+        inst = generate_covering(96, 10, 6)
+        with pytest.raises(ValueError):
+            compare([inst], [("m", [])], [EvalConfig(10, 0.0, 5.0)])
 
     def test_row_for_empty_trajectory(self):
         cfg = EvalConfig(10, 0.0, 5.0)

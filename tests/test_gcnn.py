@@ -373,3 +373,25 @@ class TestSerialization:
         weights = compute_solution_weights(pool)
         assert weights.shape == (len(pool.entries),)
         assert weights.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+class TestMalformedModelFiles:
+    def _text(self):
+        return save_model(init_model(hidden_dim=4, seed=1))
+
+    def test_empty_file(self):
+        with pytest.raises(ValueError, match="not a GCNN model file"):
+            load_model("")
+
+    @pytest.mark.parametrize("key", ["hidden_dim", "f_var", "f_con"])
+    def test_header_key_missing(self, key):
+        text = "".join(ln for ln in self._text().splitlines(True) if not ln.startswith(key))
+        with pytest.raises(ValueError, match=f"misses {key}"):
+            load_model(text)
+
+    # a matrix without rows, a matrix cut short, a bias without its values
+    @pytest.mark.parametrize("keep", [5, 7, 11])
+    def test_truncated_parameter(self, keep):
+        text = "\n".join(self._text().splitlines()[:keep]) + "\n"
+        with pytest.raises(ValueError, match="truncated"):
+            load_model(text)

@@ -68,6 +68,25 @@ class TestParsing:
         assert err.value.line == 1
         assert err.value.column > 1
 
+    @pytest.mark.parametrize(
+        "text, line, column",
+        [
+            ("VAR\tx  binary \t 0   zz 1\n", 1, 21),  # bad ub after tabs and space runs
+            ("VAR x  bogus 0 1 1\n", 1, 8),  # unknown kind
+            (
+                "VAR a binary 0 1 1\nVAR b binary 0 1 1\nVAR c binary 0 1 1\n"
+                "CON r le 1 0:1  1:2\t2:x\n",
+                4,
+                21,
+            ),  # bad third CON term
+            ("VAR a binary 0 1 1\n  CON  r le  1 0:1 1\n", 2, 20),  # term without colon
+        ],
+    )
+    def test_error_columns_are_exact(self, text, line, column):
+        with pytest.raises(InstanceFormatError) as err:
+            parse_instance(text)
+        assert (err.value.line, err.value.column) == (line, column)
+
     def test_term_without_colon_rejected(self):
         with pytest.raises(InstanceFormatError):
             parse_instance("VAR x binary 0 1 1\nCON r le 1 0\n")
@@ -124,6 +143,19 @@ class TestSolutionFormat:
         inst = generate_knapsack(3, 2, 1)
         with pytest.raises(InstanceValidationError):
             parse_solution("SOL 0.0\nx0 0.0\n", inst)
+
+    @pytest.mark.parametrize(
+        "text, line, column",
+        [
+            ("SOL 0.0\n  x0 \t nope\nx1 0.0\n", 2, 8),  # bad value
+            ("\tSOL   zero\nx0 0.0\nx1 0.0\n", 1, 8),  # bad objective
+        ],
+    )
+    def test_bad_value_column_is_exact(self, text, line, column):
+        inst = generate_knapsack(3, 2, 1)
+        with pytest.raises(InstanceFormatError) as err:
+            parse_solution(text, inst)
+        assert (err.value.line, err.value.column) == (line, column)
 
 
 class TestGenerators:
