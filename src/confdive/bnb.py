@@ -24,7 +24,7 @@ from .instances import (
     parse_solution,
     serialize_solution,
 )
-from .simplex import _solve_lp_arrays
+from .simplex import _solve_lp_arrays, fixed_bounds
 
 INT_TOL = 1e-6
 PRUNE_TOL = 1e-9
@@ -202,10 +202,7 @@ def dive_heuristic(
     roundings are kept without an LP call, infeasible ones trigger a
     re-solve with the variable fixed.
     """
-    lo, hi = instance.bounds_arrays()
-    if fixings:
-        for j, v in fixings.items():
-            lo[j] = hi[j] = float(v)
+    lo, hi = fixed_bounds(instance, fixings)
     values = np.asarray(lp_values, dtype=np.float64)
     result = _dive_arrays(
         instance.objective_vector(),

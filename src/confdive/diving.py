@@ -68,12 +68,9 @@ def check_threshold(t: float) -> float:
     return t
 
 
-def fix_by_threshold(
-    probs: np.ndarray, t: float, *, zero_threshold: float | None = None
-) -> PartialAssignment:
-    """Fix positions with p >= t to 1 and p <= 1 - t0 to 0 (t0 = t unless asymmetric)."""
+def fix_by_threshold(probs: np.ndarray, t: float) -> PartialAssignment:
+    """Fix positions with p >= t to 1 and p <= 1 - t to 0."""
     t = check_threshold(t)
-    t0 = t if zero_threshold is None else check_threshold(zero_threshold)
     probs = np.asarray(probs, dtype=np.float64)
     if probs.size and (probs.min() <= 0.0 or probs.max() >= 1.0):
         raise ValueError("probabilities must lie strictly inside (0, 1)")
@@ -81,7 +78,7 @@ def fix_by_threshold(
     for j, p in enumerate(probs):
         if p >= t:
             fixings[j] = 1
-        elif p <= 1.0 - t0:
+        elif p <= 1.0 - t:
             fixings[j] = 0
     coverage = len(fixings) / probs.size if probs.size else 0.0
     return PartialAssignment(fixings, t, coverage, probs.copy())

@@ -181,6 +181,15 @@ def _fmt_coord(x: float) -> str:
     return f"{x:.2f}"
 
 
+def _svg(tag: str, text: str | None = None, **attrs) -> str:
+    """One SVG element; float attributes print as coordinates, ``_`` in names as ``-``."""
+    body = " ".join(
+        f'{key.replace("_", "-")}="{_fmt_coord(v) if isinstance(v, float) else v}"'
+        for key, v in attrs.items()
+    )
+    return f"<{tag} {body}/>" if text is None else f"<{tag} {body}>{text}</{tag}>"
+
+
 def plot_primal_bound(
     trajectories: Sequence[tuple[str, IncumbentTrajectory]], cfg: EvalConfig
 ) -> str:
@@ -190,6 +199,7 @@ def plot_primal_bound(
     left, right, top, bottom = 70.0, 20.0, 20.0, 45.0
     plot_w = SVG_WIDTH - left - right
     plot_h = SVG_HEIGHT - top - bottom
+    base = top + plot_h  # y of the x axis
 
     objs = [e.objective for _, traj in trajectories for e in traj.events]
     y_min = min(objs) if objs else 0.0
@@ -211,66 +221,41 @@ def plot_primal_bound(
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_WIDTH}" height="{SVG_HEIGHT}" '
         f'viewBox="0 0 {SVG_WIDTH} {SVG_HEIGHT}">',
-        f'<rect x="0" y="0" width="{SVG_WIDTH}" height="{SVG_HEIGHT}" fill="white"/>',
-        f'<line x1="{_fmt_coord(left)}" y1="{_fmt_coord(top + plot_h)}" '
-        f'x2="{_fmt_coord(left + plot_w)}" y2="{_fmt_coord(top + plot_h)}" stroke="black"/>',
-        f'<line x1="{_fmt_coord(left)}" y1="{_fmt_coord(top)}" '
-        f'x2="{_fmt_coord(left)}" y2="{_fmt_coord(top + plot_h)}" stroke="black"/>',
+        _svg("rect", x=0, y=0, width=SVG_WIDTH, height=SVG_HEIGHT, fill="white"),
+        _svg("line", x1=left, y1=base, x2=left + plot_w, y2=base, stroke="black"),
+        _svg("line", x1=left, y1=top, x2=left, y2=base, stroke="black"),
     ]
     for i in range(5):
-        xv = x_max * i / 4
-        x = sx(xv)
-        parts.append(
-            f'<line x1="{_fmt_coord(x)}" y1="{_fmt_coord(top + plot_h)}" '
-            f'x2="{_fmt_coord(x)}" y2="{_fmt_coord(top + plot_h + 5)}" stroke="black"/>'
-        )
-        parts.append(
-            f'<text x="{_fmt_coord(x)}" y="{_fmt_coord(top + plot_h + 20)}" '
-            f'font-size="12" text-anchor="middle">{xv:g}</text>'
-        )
-        yv = y_min + (y_max - y_min) * i / 4
-        y = sy(yv)
-        parts.append(
-            f'<line x1="{_fmt_coord(left - 5)}" y1="{_fmt_coord(y)}" '
-            f'x2="{_fmt_coord(left)}" y2="{_fmt_coord(y)}" stroke="black"/>'
-        )
-        parts.append(
-            f'<text x="{_fmt_coord(left - 8)}" y="{_fmt_coord(y + 4)}" '
-            f'font-size="12" text-anchor="end">{yv:.6g}</text>'
-        )
-    parts.append(
-        f'<text x="{_fmt_coord(left + plot_w / 2)}" y="{_fmt_coord(SVG_HEIGHT - 8)}" '
-        f'font-size="13" text-anchor="middle">step</text>'
-    )
-    parts.append(
-        f'<text x="16" y="{_fmt_coord(top + plot_h / 2)}" font-size="13" text-anchor="middle" '
-        f'transform="rotate(-90 16 {_fmt_coord(top + plot_h / 2)})">primal bound</text>'
-    )
+        xv, yv = x_max * i / 4, y_min + (y_max - y_min) * i / 4
+        x, y = sx(xv), sy(yv)
+        parts += [
+            _svg("line", x1=x, y1=base, x2=x, y2=base + 5, stroke="black"),
+            _svg("text", f"{xv:g}", x=x, y=base + 20, font_size=12, text_anchor="middle"),
+            _svg("line", x1=left - 5, y1=y, x2=left, y2=y, stroke="black"),
+            _svg("text", f"{yv:.6g}", x=left - 8, y=y + 4, font_size=12, text_anchor="end"),
+        ]
+    mid = top + plot_h / 2
+    parts += [
+        _svg("text", "step", x=left + plot_w / 2, y=SVG_HEIGHT - 8.0, font_size=13,
+             text_anchor="middle"),
+        _svg("text", "primal bound", x=16, y=mid, font_size=13, text_anchor="middle",
+             transform=f"rotate(-90 16 {_fmt_coord(mid)})"),
+    ]
 
     for k, (label, traj) in enumerate(trajectories):
         color = _PALETTE[k % len(_PALETTE)]
-        if traj.events:
-            pts: list[str] = []
-            prev_obj = traj.events[0].objective
-            pts.append(f"{_fmt_coord(sx(traj.events[0].step))},{_fmt_coord(sy(prev_obj))}")
-            for event in traj.events[1:]:
-                pts.append(f"{_fmt_coord(sx(event.step))},{_fmt_coord(sy(prev_obj))}")
-                pts.append(f"{_fmt_coord(sx(event.step))},{_fmt_coord(sy(event.objective))}")
-                prev_obj = event.objective
-            pts.append(f"{_fmt_coord(sx(x_max))},{_fmt_coord(sy(prev_obj))}")
-            parts.append(
-                f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
-                f'points="{" ".join(pts)}"/>'
-            )
-        ly = top + 16 + 18 * k
-        lx = left + plot_w - 150
-        parts.append(
-            f'<line x1="{_fmt_coord(lx)}" y1="{_fmt_coord(ly - 4)}" '
-            f'x2="{_fmt_coord(lx + 24)}" y2="{_fmt_coord(ly - 4)}" '
-            f'stroke="{color}" stroke-width="1.5"/>'
-        )
-        parts.append(
-            f'<text x="{_fmt_coord(lx + 30)}" y="{_fmt_coord(ly)}" font-size="12">{label}</text>'
-        )
+        events = traj.events
+        if events:
+            corners = [(events[0].step, events[0].objective)]
+            for prev, event in zip(events, events[1:]):
+                corners += [(event.step, prev.objective), (event.step, event.objective)]
+            corners.append((x_max, events[-1].objective))
+            pts = " ".join(f"{_fmt_coord(sx(x))},{_fmt_coord(sy(y))}" for x, y in corners)
+            parts.append(_svg("polyline", fill="none", stroke=color, stroke_width="1.5", points=pts))
+        lx, ly = left + plot_w - 150, top + 16 + 18 * k
+        parts += [
+            _svg("line", x1=lx, y1=ly - 4, x2=lx + 24, y2=ly - 4, stroke=color, stroke_width="1.5"),
+            _svg("text", label, x=lx + 30, y=ly, font_size=12),
+        ]
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

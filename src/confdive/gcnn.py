@@ -1,11 +1,12 @@
 """Bipartite graph net predicting P(binary variable = 1), trained by hand-rolled SGD.
 
-Architecture: affine embeddings for both node sides, one variable-to-constraint
-half-convolution, one constraint-to-variable half-convolution, then a logistic
-head on the variable embeddings. Messages are ReLU affines over
-[constraint embedding, variable embedding, edge coefficient]; updates are ReLU
-affines over [old embedding, mean incoming message]. Forward, losses, and
-gradients are explicit numpy; no autodiff framework.
+Architecture: affine embeddings for both node sides, one half-convolution
+applied twice (variables to constraints, then constraints to variables), and a
+logistic head on the variable embeddings. A half-convolution averages
+ReLU-affine edge messages over [constraint embedding, variable embedding, edge
+coefficient] into the receiving side, then updates that side by a ReLU affine
+over [old embedding, mean message]. Forward, losses, and gradients are
+explicit numpy; no autodiff framework.
 
 Two loss normalizations are provided: the per-graph one (each graph's
 log-likelihood is divided by its own node count before averaging over the
@@ -16,7 +17,7 @@ Training-target weights may be one scalar per solution or one weight per node.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -44,7 +45,6 @@ class Affine:
 
 @dataclass(eq=False)
 class GcnnModel:
-    hidden_dim: int
     var_embed: Affine
     con_embed: Affine
     v2c_msg: Affine
@@ -52,7 +52,10 @@ class GcnnModel:
     c2v_msg: Affine
     c2v_upd: Affine
     head: Affine
-    version: int = MODEL_FORMAT_VERSION
+
+    @property
+    def hidden_dim(self) -> int:
+        return self.head.w.shape[0]
 
     @property
     def f_var(self) -> int:
@@ -63,15 +66,7 @@ class GcnnModel:
         return self.con_embed.w.shape[0]
 
     def blocks(self) -> dict[str, Affine]:
-        return {
-            "var_embed": self.var_embed,
-            "con_embed": self.con_embed,
-            "v2c_msg": self.v2c_msg,
-            "v2c_upd": self.v2c_upd,
-            "c2v_msg": self.c2v_msg,
-            "c2v_upd": self.c2v_upd,
-            "head": self.head,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def named_parameters(self) -> Iterator[tuple[str, np.ndarray]]:
         for name, block in self.blocks().items():
@@ -79,11 +74,20 @@ class GcnnModel:
             yield f"{name}.b", block.b
 
     def copy(self) -> "GcnnModel":
-        kwargs = {
-            name: Affine(block.w.copy(), block.b.copy())
-            for name, block in self.blocks().items()
-        }
-        return GcnnModel(hidden_dim=self.hidden_dim, version=self.version, **kwargs)
+        return GcnnModel(**{k: Affine(a.w.copy(), a.b.copy()) for k, a in self.blocks().items()})
+
+
+def _block_shapes(f_var: int, f_con: int, h: int) -> dict[str, tuple[int, int]]:
+    """(fan_in, fan_out) of every parameter block, in GcnnModel field order."""
+    return {
+        "var_embed": (f_var, h),
+        "con_embed": (f_con, h),
+        "v2c_msg": (2 * h + 1, h),
+        "v2c_upd": (2 * h, h),
+        "c2v_msg": (2 * h + 1, h),
+        "c2v_upd": (2 * h, h),
+        "head": (h, 1),
+    }
 
 
 def init_model(
@@ -94,25 +98,12 @@ def init_model(
 ) -> GcnnModel:
     """Seeded uniform init in [-1/sqrt(fan_in), +1/sqrt(fan_in)] per block."""
     rng = np.random.default_rng(seed)
-    h = hidden_dim
-
-    def affine(fan_in: int, fan_out: int) -> Affine:
+    blocks = {}
+    for name, (fan_in, fan_out) in _block_shapes(f_var, f_con, hidden_dim).items():
         s = 1.0 / math.sqrt(fan_in)
-        return Affine(
-            rng.uniform(-s, s, size=(fan_in, fan_out)),
-            rng.uniform(-s, s, size=fan_out),
-        )
-
-    return GcnnModel(
-        hidden_dim=h,
-        var_embed=affine(f_var, h),
-        con_embed=affine(f_con, h),
-        v2c_msg=affine(2 * h + 1, h),
-        v2c_upd=affine(2 * h, h),
-        c2v_msg=affine(2 * h + 1, h),
-        c2v_upd=affine(2 * h, h),
-        head=affine(h, 1),
-    )
+        w = rng.uniform(-s, s, size=(fan_in, fan_out))
+        blocks[name] = Affine(w, rng.uniform(-s, s, size=fan_out))
+    return GcnnModel(**blocks)
 
 
 @dataclass(eq=False)
@@ -174,49 +165,39 @@ def _check_graph(model: GcnnModel, graph: BipartiteGraph) -> None:
         )
 
 
+def _half_conv(model: GcnnModel, name: str, graph: BipartiteGraph, h_con, h_var):
+    """Half-convolution "v2c" (into constraints) or "c2v" (into variables).
+
+    Returns the receiving side's new embeddings and what the backward pass needs.
+    """
+    msg, upd = getattr(model, f"{name}_msg"), getattr(model, f"{name}_upd")
+    ci, vi = graph.edge_con, graph.edge_var
+    idx, own = (ci, h_con) if name == "v2c" else (vi, h_var)
+    m_in = np.concatenate([h_con[ci], h_var[vi], graph.edge_feat[:, None]], axis=1)
+    z_msg = m_in @ msg.w + msg.b
+    deg = np.maximum(np.bincount(idx, minlength=own.shape[0]), 1)
+    s = np.zeros(own.shape)
+    np.add.at(s, idx, _relu(z_msg))
+    s /= deg[:, None]
+    u_in = np.concatenate([own, s], axis=1)
+    z_upd = u_in @ upd.w + upd.b
+    return _relu(z_upd), (m_in, z_msg, deg, u_in, z_upd)
+
+
 def _forward_cached(model: GcnnModel, graph: BipartiteGraph) -> dict:
     _check_graph(model, graph)
-    h = model.hidden_dim
-    ci, vi, ef = graph.edge_con, graph.edge_var, graph.edge_feat
-    n, m = graph.n_vars, graph.n_cons
-
     zv0 = graph.var_feats @ model.var_embed.w + model.var_embed.b
     hv0 = _relu(zv0)
     zc0 = graph.con_feats @ model.con_embed.w + model.con_embed.b
     hc0 = _relu(zc0)
-
-    m1in = np.concatenate([hc0[ci], hv0[vi], ef[:, None]], axis=1)
-    z1 = m1in @ model.v2c_msg.w + model.v2c_msg.b
-    h1 = _relu(z1)
-    deg_c = np.maximum(np.bincount(ci, minlength=m), 1)
-    s1 = np.zeros((m, h))
-    np.add.at(s1, ci, h1)
-    s1 /= deg_c[:, None]
-    u1in = np.concatenate([hc0, s1], axis=1)
-    z2 = u1in @ model.v2c_upd.w + model.v2c_upd.b
-    hc1 = _relu(z2)
-
-    m2in = np.concatenate([hc1[ci], hv0[vi], ef[:, None]], axis=1)
-    z3 = m2in @ model.c2v_msg.w + model.c2v_msg.b
-    h2 = _relu(z3)
-    deg_v = np.maximum(np.bincount(vi, minlength=n), 1)
-    s2 = np.zeros((n, h))
-    np.add.at(s2, vi, h2)
-    s2 /= deg_v[:, None]
-    u2in = np.concatenate([hv0, s2], axis=1)
-    z4 = u2in @ model.c2v_upd.w + model.c2v_upd.b
-    hv1 = _relu(z4)
+    hc1, v2c = _half_conv(model, "v2c", graph, hc0, hv0)
+    hv1, c2v = _half_conv(model, "c2v", graph, hc1, hv0)
 
     logits = (hv1 @ model.head.w + model.head.b)[:, 0]
     with np.errstate(over="ignore"):  # saturated logits are fine, the clip handles them
         p = 1.0 / (1.0 + np.exp(-logits))
     p = np.clip(p, 1e-15, 1.0 - 1e-15)
-    return dict(
-        graph=graph, zv0=zv0, hv0=hv0, zc0=zc0, hc0=hc0,
-        m1in=m1in, z1=z1, deg_c=deg_c, u1in=u1in, z2=z2,
-        m2in=m2in, z3=z3, deg_v=deg_v, u2in=u2in, z4=z4,
-        hv1=hv1, p=p,
-    )
+    return dict(graph=graph, zv0=zv0, zc0=zc0, v2c=v2c, c2v=c2v, hv1=hv1, p=p)
 
 
 def forward(model: GcnnModel, graph: BipartiteGraph) -> np.ndarray:
@@ -302,12 +283,40 @@ def zero_gradients(model: GcnnModel) -> dict[str, np.ndarray]:
     return {name: np.zeros_like(arr) for name, arr in model.named_parameters()}
 
 
+def _half_conv_backward(
+    model: GcnnModel, name: str, graph: BipartiteGraph, saved: tuple,
+    g_out: np.ndarray, g_other: np.ndarray, grads: dict[str, np.ndarray],
+) -> np.ndarray:
+    """Back through :func:`_half_conv` from d(loss)/d(its output).
+
+    Returns the receiving side's old-embedding gradient and adds the other
+    side's message gradient into ``g_other`` in place, which fixes the float sum order.
+    """
+    msg, upd = getattr(model, f"{name}_msg"), getattr(model, f"{name}_upd")
+    m_in, z_msg, deg, u_in, z_upd = saved
+    h = g_out.shape[1]
+    ci, vi = graph.edge_con, graph.edge_var
+    idx = ci if name == "v2c" else vi
+    g_z = g_out * (z_upd > 0)
+    grads[f"{name}_upd.w"] += u_in.T @ g_z
+    grads[f"{name}_upd.b"] += g_z.sum(axis=0)
+    g_u_in = g_z @ upd.w.T
+    g_own = g_u_in[:, :h].copy()
+
+    g_z_msg = g_u_in[:, h:][idx] / deg[idx, None] * (z_msg > 0)
+    grads[f"{name}_msg.w"] += m_in.T @ g_z_msg
+    grads[f"{name}_msg.b"] += g_z_msg.sum(axis=0)
+    g_m_in = g_z_msg @ msg.w.T
+    g_con, g_var = (g_own, g_other) if name == "v2c" else (g_other, g_own)
+    np.add.at(g_con, ci, g_m_in[:, :h])
+    np.add.at(g_var, vi, g_m_in[:, h : 2 * h])
+    return g_own
+
+
 def _backward_graph(
     model: GcnnModel, cache: dict, d_probs: np.ndarray, grads: dict[str, np.ndarray]
 ) -> None:
     graph: BipartiteGraph = cache["graph"]
-    h = model.hidden_dim
-    ci, vi = graph.edge_con, graph.edge_var
     p = cache["p"]
 
     g_logit = np.zeros(graph.n_vars)
@@ -317,36 +326,9 @@ def _backward_graph(
     grads["head.b"] += np.array([g_logit.sum()])
     g_hv1 = np.outer(g_logit, model.head.w[:, 0])
 
-    g_z4 = g_hv1 * (cache["z4"] > 0)
-    grads["c2v_upd.w"] += cache["u2in"].T @ g_z4
-    grads["c2v_upd.b"] += g_z4.sum(axis=0)
-    g_u2in = g_z4 @ model.c2v_upd.w.T
-    g_hv0 = g_u2in[:, :h].copy()
-    g_s2 = g_u2in[:, h:]
-
-    g_h2 = g_s2[vi] / cache["deg_v"][vi, None]
-    g_z3 = g_h2 * (cache["z3"] > 0)
-    grads["c2v_msg.w"] += cache["m2in"].T @ g_z3
-    grads["c2v_msg.b"] += g_z3.sum(axis=0)
-    g_m2in = g_z3 @ model.c2v_msg.w.T
-    g_hc1 = np.zeros((graph.n_cons, h))
-    np.add.at(g_hc1, ci, g_m2in[:, :h])
-    np.add.at(g_hv0, vi, g_m2in[:, h : 2 * h])
-
-    g_z2 = g_hc1 * (cache["z2"] > 0)
-    grads["v2c_upd.w"] += cache["u1in"].T @ g_z2
-    grads["v2c_upd.b"] += g_z2.sum(axis=0)
-    g_u1in = g_z2 @ model.v2c_upd.w.T
-    g_hc0 = g_u1in[:, :h].copy()
-    g_s1 = g_u1in[:, h:]
-
-    g_h1 = g_s1[ci] / cache["deg_c"][ci, None]
-    g_z1 = g_h1 * (cache["z1"] > 0)
-    grads["v2c_msg.w"] += cache["m1in"].T @ g_z1
-    grads["v2c_msg.b"] += g_z1.sum(axis=0)
-    g_m1in = g_z1 @ model.v2c_msg.w.T
-    np.add.at(g_hc0, ci, g_m1in[:, :h])
-    np.add.at(g_hv0, vi, g_m1in[:, h : 2 * h])
+    g_hc1 = np.zeros((graph.n_cons, model.hidden_dim))
+    g_hv0 = _half_conv_backward(model, "c2v", graph, cache["c2v"], g_hv1, g_hc1, grads)
+    g_hc0 = _half_conv_backward(model, "v2c", graph, cache["v2c"], g_hc1, g_hv0, grads)
 
     g_zv0 = g_hv0 * (cache["zv0"] > 0)
     grads["var_embed.w"] += graph.var_feats.T @ g_zv0
@@ -430,6 +412,8 @@ def compute_solution_weights(
     Better (lower) objectives get at least as much weight; equal objectives
     share weight equally; a single solution gets weight 1.
     """
+    if not temperature > 0:
+        raise ValueError(f"temperature must be > 0, got {temperature}")
     if not pool.entries:
         raise ValueError("solution pool is empty")
     objs = np.array([e.objective for e in pool.entries], dtype=np.float64)
@@ -447,7 +431,7 @@ def compute_solution_weights(
 
 def save_model(model: GcnnModel) -> str:
     lines = [
-        f"GCNN {model.version}",
+        f"GCNN {MODEL_FORMAT_VERSION}",
         f"hidden_dim {model.hidden_dim}",
         f"f_var {model.f_var}",
         f"f_con {model.f_con}",
@@ -507,13 +491,17 @@ def load_model(text: str) -> GcnnModel:
                 raise ValueError(f"parameter {name} has length {arr.shape[0]}, expected {length}")
             i += 2
         arrays[name] = arr
+    shapes = _block_shapes(meta["f_var"], meta["f_con"], meta["hidden_dim"])
     blocks = {}
-    for block_name in ("var_embed", "con_embed", "v2c_msg", "v2c_upd", "c2v_msg", "c2v_upd", "head"):
+    for name, (fan_in, fan_out) in shapes.items():
         try:
-            blocks[block_name] = Affine(arrays[f"{block_name}.w"], arrays[f"{block_name}.b"])
+            w, b = arrays[f"{name}.w"], arrays[f"{name}.b"]
         except KeyError as exc:
-            raise ValueError(f"model file misses parameter block {block_name!r}") from exc
-    model = GcnnModel(hidden_dim=meta["hidden_dim"], version=version, **blocks)
-    if model.f_var != meta["f_var"] or model.f_con != meta["f_con"]:
-        raise ValueError("header feature widths disagree with parameter shapes")
-    return model
+            raise ValueError(f"model file misses parameter block {name!r}") from exc
+        if w.shape != (fan_in, fan_out) or b.shape != (fan_out,):
+            raise ValueError(
+                f"parameter block {name!r} has shapes {w.shape} and {b.shape}, "
+                f"but the header implies {(fan_in, fan_out)} and {(fan_out,)}"
+            )
+        blocks[name] = Affine(w, b)
+    return GcnnModel(**blocks)

@@ -9,6 +9,7 @@ process pool without changing any output byte.
 from __future__ import annotations
 
 import os
+import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -18,7 +19,6 @@ from . import bnb
 from .bnb import IncumbentTrajectory, InfeasibleSubproblem, SolverConfig
 from .diving import (
     DEFAULT_GRID,
-    InvalidThreshold,
     check_threshold,
     dive_and_solve,
     grid_search,
@@ -97,21 +97,21 @@ class PipelineConfig:
             raise UsageError("empty dataset: all split sizes are zero")
         if self.jobs < 1:
             raise UsageError("jobs must be >= 1")
-        if self.loss_mode not in ("minibatch", "fullbatch"):
-            raise UsageError(f"unknown loss_mode {self.loss_mode!r}")
-        if self.emphasis not in ("off", "aggressive") or self.collect_emphasis not in (
-            "off",
-            "aggressive",
-        ):
-            raise UsageError("emphasis must be 'off' or 'aggressive'")
+        if self.hidden_dim < 1:
+            raise UsageError("hidden_dim must be >= 1")
+        if not self.temperature > 0:
+            raise UsageError(f"temperature must be > 0, got {self.temperature}")
         if not self.grid:
             raise UsageError("threshold grid is empty")
         try:
+            collect_solver_config(self)
+            eval_solver_config(self)
+            train_config(self)
             for t in self.grid:
                 check_threshold(t)
             if self.threshold is not None:
                 check_threshold(self.threshold)
-        except InvalidThreshold as exc:
+        except ValueError as exc:
             raise UsageError(str(exc)) from None
         return self
 
@@ -151,10 +151,14 @@ def _coerce(key: str, value: str):
         raise UsageError(f"bad value {value!r} for config key {key!r}") from None
 
 
+#: A comment starts with ``#`` at the start of a line or after whitespace.
+_COMMENT = re.compile(r"(^|\s)#.*")
+
+
 def parse_config_text(text: str) -> dict:
     values: dict = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = _COMMENT.sub("", raw).strip()
         if not line:
             continue
         key, sep, value = line.partition("=")
@@ -313,10 +317,8 @@ def build_dataset(config: PipelineConfig) -> list[GraphTargets]:
     return dataset
 
 
-def run_train(config: PipelineConfig) -> tuple[GcnnModel, list[float]]:
-    dataset = build_dataset(config)
-    model = init_model(hidden_dim=config.hidden_dim, seed=config.seed)
-    train_config = TrainConfig(
+def train_config(config: PipelineConfig) -> TrainConfig:
+    return TrainConfig(
         lr=config.lr,
         momentum=config.momentum,
         epochs=config.epochs,
@@ -324,7 +326,12 @@ def run_train(config: PipelineConfig) -> tuple[GcnnModel, list[float]]:
         seed=config.seed,
         loss_mode=config.loss_mode,
     )
-    model, curve = train(model, dataset, train_config)
+
+
+def run_train(config: PipelineConfig) -> tuple[GcnnModel, list[float]]:
+    dataset = build_dataset(config)
+    model = init_model(hidden_dim=config.hidden_dim, seed=config.seed)
+    model, curve = train(model, dataset, train_config(config))
     _atomic_write(config.out / "model.txt", save_model(model))
     lines = ["epoch,mean_loss"]
     lines += [f"{i},{repr(loss)}" for i, loss in enumerate(curve)]

@@ -54,19 +54,26 @@ class LpResult:
     basis: np.ndarray | None = None
 
 
+def fixed_bounds(
+    instance: MilpInstance, fixings: Mapping[int, float] | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The instance's (lo, hi) bound arrays with ``fixings`` applied as equality bounds."""
+    lo, hi = instance.bounds_arrays()
+    for j, v in (fixings or {}).items():
+        if not 0 <= j < instance.n:
+            raise ValueError(f"fixing index {j} out of range")
+        v = float(v)
+        if v < lo[j] - 1e-9 or v > hi[j] + 1e-9:
+            raise ValueError(
+                f"fixing {v} for variable {j} lies outside its bounds [{lo[j]}, {hi[j]}]"
+            )
+        lo[j] = hi[j] = v
+    return lo, hi
+
+
 def solve_lp(instance: MilpInstance, fixings: Mapping[int, float] | None = None) -> LpResult:
     """Solve the LP relaxation with ``fixings`` applied as equality bounds."""
-    lo, hi = instance.bounds_arrays()
-    if fixings:
-        for j, v in fixings.items():
-            if not 0 <= j < instance.n:
-                raise ValueError(f"fixing index {j} out of range")
-            v = float(v)
-            if v < lo[j] - 1e-9 or v > hi[j] + 1e-9:
-                raise ValueError(
-                    f"fixing {v} for variable {j} lies outside its bounds [{lo[j]}, {hi[j]}]"
-                )
-            lo[j] = hi[j] = v
+    lo, hi = fixed_bounds(instance, fixings)
     c = instance.objective_vector()
     A, b = instance.dense_matrix()
     return _solve_lp_arrays(c, A, b, lo, hi)

@@ -117,6 +117,14 @@ class TestDive:
         result = dive_heuristic(inst, lp.primal_values, {0: 1.0})
         assert result is None or result.values[0] == 1.0
 
+    @pytest.mark.parametrize("fixings", [{-1: 1.0}, {12: 1.0}, {0: 2.0}])
+    def test_bad_fixings_rejected_like_solve_lp(self, fixings):
+        inst = generate_covering(4, 12, 6)
+        with pytest.raises(ValueError):
+            solve_lp(inst, fixings)
+        with pytest.raises(ValueError):
+            dive_heuristic(inst, np.full(12, 0.5), fixings)
+
     def test_random_covering_dives_feasible(self):
         successes = 0
         for seed in range(20):

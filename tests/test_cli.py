@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from confdive.cli import main
-from confdive.pipeline import PipelineConfig, load_config
+from confdive.pipeline import PipelineConfig, load_config, parse_config_text
 
 MICRO = """\
 family=covering
@@ -199,3 +199,34 @@ class TestConfigText:
         assert main(["generate", "--config", str(cfg), *args]) == 1
         assert message in capsys.readouterr().err
         assert not (tmp / "out").exists()
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            ("step_limit=0\n", "step_limit must be >= 1"),
+            ("collect_step_limit=0\n", "step_limit must be >= 1"),
+            ("pool_size=0\n", "pool_size must be >= 1"),
+            ("epochs=0\n", "epochs must be >= 1"),
+            ("batch_size=0\n", "batch_size and epochs must be >= 1"),
+            ("lr=-1\n", "lr must be >= 0"),
+            ("hidden_dim=0\n", "hidden_dim must be >= 1"),
+            ("temperature=0\n", "temperature must be > 0"),
+            ("temperature=-1\n", "temperature must be > 0"),
+            ("collect_emphasis=loud\n", "unknown heuristic_emphasis 'loud'"),
+            ("loss_mode=sum\n", "unknown loss_mode 'sum'"),
+        ],
+    )
+    def test_bad_stage_settings_rejected_before_any_work(self, workdir, capsys, extra, message):
+        tmp, cfg = workdir
+        cfg.write_text(cfg.read_text() + extra)
+        assert main(["generate", "--config", str(cfg)]) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp / "out").exists()
+
+    def test_hash_inside_a_value_is_kept(self):
+        values = parse_config_text("outdir=/tmp/run#2\n# a comment line\n  # indented\n")
+        assert values == {"outdir": "/tmp/run#2"}
+
+    def test_trailing_comment_is_dropped(self):
+        values = parse_config_text("outdir=/tmp/run # the second run\nseed=3\t# tab before\n")
+        assert values == {"outdir": "/tmp/run", "seed": 3}

@@ -59,13 +59,6 @@ class TestFixByThreshold:
         with pytest.raises(ValueError):
             fix_by_threshold(np.array([1.0, 0.5]), 0.9)
 
-    def test_asymmetric_thresholds(self):
-        probs = np.array([0.8, 0.3])
-        partial = fix_by_threshold(probs, 0.75, zero_threshold=0.6)
-        assert partial.fixings == {0: 1, 1: 0}  # 0.3 <= 1-0.6
-        symmetric = fix_by_threshold(probs, 0.75)
-        assert symmetric.fixings == {0: 1}
-
     @given(
         probs=st.lists(st.floats(min_value=0.001, max_value=0.999), min_size=1, max_size=30),
         t_pair=st.tuples(

@@ -342,6 +342,12 @@ class TestSolutionWeights:
         assert w[0] >= w[1] >= w[2]
         assert w.sum() == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("temperature", [0.0, -1.0, float("nan")])
+    def test_nonpositive_temperature_rejected(self, temperature):
+        # at T=-1 the softmax would silently favour the worse objective
+        with pytest.raises(ValueError, match="temperature"):
+            compute_solution_weights(self._pool([1.0, 3.0]), temperature=temperature)
+
 
 class TestSerialization:
     def test_round_trip_bitwise(self):
@@ -395,3 +401,15 @@ class TestMalformedModelFiles:
         text = "\n".join(self._text().splitlines()[:keep]) + "\n"
         with pytest.raises(ValueError, match="truncated"):
             load_model(text)
+
+    def test_header_hidden_dim_disagrees_with_parameters(self):
+        text = self._text().replace("hidden_dim 4", "hidden_dim 5")
+        with pytest.raises(ValueError, match="var_embed"):
+            load_model(text)
+
+    def test_block_of_wrong_shape(self):
+        # c2v_upd saved with the v2c_msg shape: every row of the right width, one row too many
+        model = init_model(hidden_dim=4, seed=1)
+        model.c2v_upd = init_model(hidden_dim=4, seed=2).c2v_msg
+        with pytest.raises(ValueError, match="c2v_upd"):
+            load_model(save_model(model))
