@@ -43,11 +43,13 @@ class SolverConfig:
     collect_pool: bool = False
     pool_size: int = 1
 
-    def __post_init__(self):
+    def __post_init__(self):  # every message starts with the rejected field's name
         if self.step_limit < 1:
             raise ValueError("step_limit must be >= 1")
         if self.heuristic_emphasis not in ("off", "aggressive"):
-            raise ValueError(f"unknown heuristic_emphasis {self.heuristic_emphasis!r}")
+            raise ValueError(
+                f"heuristic_emphasis must be 'off' or 'aggressive', got {self.heuristic_emphasis!r}"
+            )
         if self.collect_pool and self.pool_size < 1:
             raise ValueError("pool_size must be >= 1 when collect_pool is set")
 
@@ -93,17 +95,14 @@ def solve(
     infeasible or the tree is exhausted without an integer-feasible point.
     """
     binary = instance.binary_mask()
-    lo, hi = instance.bounds_arrays()
-    if fixings:
-        for j, v in fixings.items():
-            if not 0 <= j < instance.n:
-                raise ValueError(f"fixing index {j} out of range")
-            if not binary[j]:
-                raise ValueError(f"fixings apply only to binary variables, got index {j}")
-            v = float(v)
-            if abs(v) > INT_TOL and abs(v - 1.0) > INT_TOL:
-                raise ValueError(f"binary fixing for variable {j} must be 0 or 1, got {v}")
-            lo[j] = hi[j] = round(v)
+    lo, hi = fixed_bounds(instance, fixings)
+    for j, v in (fixings or {}).items():
+        if not binary[j]:
+            raise ValueError(f"fixings apply only to binary variables, got index {j}")
+        v = float(v)
+        if abs(v) > INT_TOL and abs(v - 1.0) > INT_TOL:
+            raise ValueError(f"binary fixing for variable {j} must be 0 or 1, got {v}")
+        lo[j] = hi[j] = round(v)
 
     c = instance.objective_vector()
     A, b = instance.dense_matrix()

@@ -11,7 +11,10 @@ explicit numpy; no autodiff framework.
 Two loss normalizations are provided: the per-graph one (each graph's
 log-likelihood is divided by its own node count before averaging over the
 batch) and the pooled one (a single division by the total node count).
-Training-target weights may be one scalar per solution or one weight per node.
+``loss_minibatch`` and ``loss_fullbatch`` are the training loss itself: they
+run the same code as ``train``, so they return the values it records, bit for
+bit. Training-target weights may be one scalar per solution or one weight per
+node.
 """
 
 from __future__ import annotations
@@ -150,8 +153,10 @@ class TrainConfig:
 # ---------------------------------------------------------------------------
 
 
-def _relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0)
+def _affine_relu(x: np.ndarray, block: Affine) -> tuple[np.ndarray, np.ndarray]:
+    """Pre-activation ``z = x @ w + b`` and ``relu(z)``."""
+    z = x @ block.w + block.b
+    return z, np.maximum(z, 0.0)
 
 
 def _check_graph(model: GcnnModel, graph: BipartiteGraph) -> None:
@@ -174,22 +179,20 @@ def _half_conv(model: GcnnModel, name: str, graph: BipartiteGraph, h_con, h_var)
     ci, vi = graph.edge_con, graph.edge_var
     idx, own = (ci, h_con) if name == "v2c" else (vi, h_var)
     m_in = np.concatenate([h_con[ci], h_var[vi], graph.edge_feat[:, None]], axis=1)
-    z_msg = m_in @ msg.w + msg.b
+    z_msg, h_msg = _affine_relu(m_in, msg)
     deg = np.maximum(np.bincount(idx, minlength=own.shape[0]), 1)
     s = np.zeros(own.shape)
-    np.add.at(s, idx, _relu(z_msg))
+    np.add.at(s, idx, h_msg)
     s /= deg[:, None]
     u_in = np.concatenate([own, s], axis=1)
-    z_upd = u_in @ upd.w + upd.b
-    return _relu(z_upd), (m_in, z_msg, deg, u_in, z_upd)
+    z_upd, h_upd = _affine_relu(u_in, upd)
+    return h_upd, (m_in, z_msg, deg, u_in, z_upd)
 
 
 def _forward_cached(model: GcnnModel, graph: BipartiteGraph) -> dict:
     _check_graph(model, graph)
-    zv0 = graph.var_feats @ model.var_embed.w + model.var_embed.b
-    hv0 = _relu(zv0)
-    zc0 = graph.con_feats @ model.con_embed.w + model.con_embed.b
-    hc0 = _relu(zc0)
+    zv0, hv0 = _affine_relu(graph.var_feats, model.var_embed)
+    zc0, hc0 = _affine_relu(graph.con_feats, model.con_embed)
     hc1, v2c = _half_conv(model, "v2c", graph, hc0, hv0)
     hv1, c2v = _half_conv(model, "c2v", graph, hc1, hv0)
 
@@ -237,41 +240,19 @@ def _graph_term(probs: np.ndarray, item: GraphTargets, want_grad: bool):
             raise ValueError("target values must be 0 or 1")
         w = _solution_weight_vector(sol, k)
         term += float(np.sum(w * (x * np.log(p) + (1.0 - x) * np.log1p(-p))))
-        if want_grad is True:
+        if want_grad:
             grad += w * (x / p - (1.0 - x) / (1.0 - p)) * inside
     return term, grad
 
 
 def loss_minibatch(model: GcnnModel, batch: TrainingBatch) -> float:
     """Average over graphs of (per-graph node-averaged negative log-likelihood)."""
-    if not batch:
-        raise ValueError("batch is empty")
-    total = 0.0
-    for item in batch:
-        n_i = int(item.graph.binary_mask.sum())
-        if n_i == 0 or not item.solutions:
-            continue
-        probs = forward(model, item.graph)
-        term, _ = _graph_term(probs, item, want_grad=False)
-        total += term / n_i
-    return -total / len(batch)
+    return _loss_and_gradients(model, batch, "minibatch", want_grad=False)[0]
 
 
 def loss_fullbatch(model: GcnnModel, batch: TrainingBatch) -> float:
     """Negative log-likelihood normalized once by the total node count."""
-    if not batch:
-        raise ValueError("batch is empty")
-    total = 0.0
-    n_total = sum(int(item.graph.binary_mask.sum()) for item in batch)
-    if n_total == 0:
-        return 0.0
-    for item in batch:
-        if not item.solutions:
-            continue
-        probs = forward(model, item.graph)
-        term, _ = _graph_term(probs, item, want_grad=False)
-        total += term
-    return -total / n_total
+    return _loss_and_gradients(model, batch, "fullbatch", want_grad=False)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -281,6 +262,19 @@ def loss_fullbatch(model: GcnnModel, batch: TrainingBatch) -> float:
 
 def zero_gradients(model: GcnnModel) -> dict[str, np.ndarray]:
     return {name: np.zeros_like(arr) for name, arr in model.named_parameters()}
+
+
+def _affine_relu_backward(
+    name: str, x: np.ndarray, z: np.ndarray, g_h: np.ndarray, grads: dict[str, np.ndarray]
+) -> np.ndarray:
+    """Back through :func:`_affine_relu` of block ``name`` from d(loss)/d(relu(z)).
+
+    Adds the block's parameter gradients into ``grads`` and returns d(loss)/d(z).
+    """
+    g_z = g_h * (z > 0)
+    grads[f"{name}.w"] += x.T @ g_z
+    grads[f"{name}.b"] += g_z.sum(axis=0)
+    return g_z
 
 
 def _half_conv_backward(
@@ -297,16 +291,10 @@ def _half_conv_backward(
     h = g_out.shape[1]
     ci, vi = graph.edge_con, graph.edge_var
     idx = ci if name == "v2c" else vi
-    g_z = g_out * (z_upd > 0)
-    grads[f"{name}_upd.w"] += u_in.T @ g_z
-    grads[f"{name}_upd.b"] += g_z.sum(axis=0)
-    g_u_in = g_z @ upd.w.T
+    g_u_in = _affine_relu_backward(f"{name}_upd", u_in, z_upd, g_out, grads) @ upd.w.T
     g_own = g_u_in[:, :h].copy()
-
-    g_z_msg = g_u_in[:, h:][idx] / deg[idx, None] * (z_msg > 0)
-    grads[f"{name}_msg.w"] += m_in.T @ g_z_msg
-    grads[f"{name}_msg.b"] += g_z_msg.sum(axis=0)
-    g_m_in = g_z_msg @ msg.w.T
+    g_msg = g_u_in[:, h:][idx] / deg[idx, None]
+    g_m_in = _affine_relu_backward(f"{name}_msg", m_in, z_msg, g_msg, grads) @ msg.w.T
     g_con, g_var = (g_own, g_other) if name == "v2c" else (g_other, g_own)
     np.add.at(g_con, ci, g_m_in[:, :h])
     np.add.at(g_var, vi, g_m_in[:, h : 2 * h])
@@ -330,22 +318,22 @@ def _backward_graph(
     g_hv0 = _half_conv_backward(model, "c2v", graph, cache["c2v"], g_hv1, g_hc1, grads)
     g_hc0 = _half_conv_backward(model, "v2c", graph, cache["v2c"], g_hc1, g_hv0, grads)
 
-    g_zv0 = g_hv0 * (cache["zv0"] > 0)
-    grads["var_embed.w"] += graph.var_feats.T @ g_zv0
-    grads["var_embed.b"] += g_zv0.sum(axis=0)
-    g_zc0 = g_hc0 * (cache["zc0"] > 0)
-    grads["con_embed.w"] += graph.con_feats.T @ g_zc0
-    grads["con_embed.b"] += g_zc0.sum(axis=0)
+    _affine_relu_backward("var_embed", graph.var_feats, cache["zv0"], g_hv0, grads)
+    _affine_relu_backward("con_embed", graph.con_feats, cache["zc0"], g_hc0, grads)
 
 
 def _loss_and_gradients(
-    model: GcnnModel, batch: TrainingBatch, loss_mode: str
-) -> tuple[float, dict[str, np.ndarray]]:
+    model: GcnnModel, batch: TrainingBatch, loss_mode: str, want_grad: bool = True
+) -> tuple[float, dict[str, np.ndarray] | None]:
+    """The ``loss_mode`` loss of ``batch`` and, if ``want_grad``, its parameter gradients.
+
+    The only place that scales each graph's term by its minibatch or fullbatch weight.
+    """
     if not batch:
         raise ValueError("batch is empty")
     if loss_mode not in ("minibatch", "fullbatch"):
         raise ValueError(f"unknown loss_mode {loss_mode!r}")
-    grads = zero_gradients(model)
+    grads = zero_gradients(model) if want_grad else None
     n_total = sum(int(item.graph.binary_mask.sum()) for item in batch)
     total = 0.0
     for item in batch:
@@ -354,13 +342,11 @@ def _loss_and_gradients(
             continue
         cache = _forward_cached(model, item.graph)
         probs = cache["p"][item.graph.binary_mask]
-        term, term_grad = _graph_term(probs, item, want_grad=True)
-        if loss_mode == "minibatch":
-            scale = 1.0 / (len(batch) * n_i)
-        else:
-            scale = 1.0 / n_total
+        term, term_grad = _graph_term(probs, item, want_grad)
+        scale = 1.0 / (len(batch) * n_i if loss_mode == "minibatch" else n_total)
         total += term * scale
-        _backward_graph(model, cache, -scale * term_grad, grads)
+        if want_grad:
+            _backward_graph(model, cache, -scale * term_grad, grads)
     return -total, grads
 
 
@@ -469,27 +455,15 @@ def load_model(text: str) -> GcnnModel:
         tokens = lines[i].split()
         if tokens[0] != "PARAM" or len(tokens) not in (3, 4):
             raise ValueError(f"expected PARAM <name> <shape>, got {lines[i]!r}")
-        name = tokens[1]
-        if len(tokens) == 4:
-            rows, cols = int(tokens[2]), int(tokens[3])
-            if i + rows >= len(lines):
-                raise ValueError(f"parameter {name} is truncated")
-            block = [
-                np.array([float(x) for x in lines[i + 1 + r].split()], dtype=np.float64)
-                for r in range(rows)
-            ]
-            arr = np.vstack(block)
-            if arr.shape != (rows, cols):
-                raise ValueError(f"parameter {name} has shape {arr.shape}, expected {(rows, cols)}")
-            i += 1 + rows
-        else:
-            length = int(tokens[2])
-            if i + 1 >= len(lines):
-                raise ValueError(f"parameter {name} is truncated")
-            arr = np.array([float(x) for x in lines[i + 1].split()], dtype=np.float64)
-            if arr.shape != (length,):
-                raise ValueError(f"parameter {name} has length {arr.shape[0]}, expected {length}")
-            i += 2
+        name, shape = tokens[1], tuple(int(t) for t in tokens[2:])
+        n_lines = shape[0] if len(shape) == 2 else 1  # a matrix has one line per row
+        if i + n_lines >= len(lines):
+            raise ValueError(f"parameter {name} is truncated")
+        rows = [[float(x) for x in ln.split()] for ln in lines[i + 1 : i + 1 + n_lines]]
+        arr = np.array(rows if len(shape) == 2 else rows[0], dtype=np.float64)
+        if arr.shape != shape:
+            raise ValueError(f"parameter {name} has shape {arr.shape}, expected {shape}")
+        i += 1 + n_lines
         arrays[name] = arr
     shapes = _block_shapes(meta["f_var"], meta["f_con"], meta["hidden_dim"])
     blocks = {}

@@ -78,7 +78,6 @@ class ConstraintDef:
     name: str
     terms: tuple[tuple[int, float], ...]
     rhs: float
-    sense: str = "le"
 
     def __post_init__(self):
         object.__setattr__(
@@ -124,8 +123,6 @@ class MilpInstance:
         n = len(self.vars)
         for k, con in enumerate(self.constraints):
             path = f"constraints[{k}]"
-            if con.sense != "le":
-                raise InstanceValidationError(f"{path}.sense", "canonical sense is 'le'")
             if not np.isfinite(con.rhs):
                 raise InstanceValidationError(f"{path}.rhs", "rhs must be finite")
             used: set[int] = set()
@@ -386,6 +383,16 @@ def parse_solution(text: str, instance: MilpInstance) -> Assignment:
 # ---------------------------------------------------------------------------
 
 
+def check_knapsack_sizes(n_items: int, n_dims: int) -> None:
+    if n_items < 1 or n_dims < 1:
+        raise ValueError(f"n_items and n_dims must be >= 1, got {n_items} and {n_dims}")
+
+
+def check_covering_sizes(n_vars: int, n_rows: int) -> None:
+    if not n_vars >= n_rows >= 1:
+        raise ValueError(f"need n_vars >= n_rows >= 1, got n_vars={n_vars} and n_rows={n_rows}")
+
+
 def generate_knapsack(seed: int, n_items: int, n_dims: int) -> MilpInstance:
     """Multi-dimensional knapsack: maximize item values under n_dims capacities.
 
@@ -393,8 +400,7 @@ def generate_knapsack(seed: int, n_items: int, n_dims: int) -> MilpInstance:
     total weight per dimension, so packing everything is infeasible for two
     or more items, while any single item always fits.
     """
-    if n_items < 1 or n_dims < 1:
-        raise ValueError("n_items and n_dims must be >= 1")
+    check_knapsack_sizes(n_items, n_dims)
     rng = np.random.default_rng(seed)
     values = rng.integers(1, 101, size=n_items)
     weights = rng.integers(1, 101, size=(n_dims, n_items))
@@ -418,8 +424,7 @@ def generate_covering(seed: int, n_vars: int, n_rows: int) -> MilpInstance:
     cost/coverage trade-offs tight and rounding heuristics honest. Rows are
     stored canonically as ``<=`` constraints with negated coefficients.
     """
-    if not n_vars >= n_rows >= 1:
-        raise ValueError("need n_vars >= n_rows >= 1")
+    check_covering_sizes(n_vars, n_rows)
     rng = np.random.default_rng(seed)
     k_lo = min(max(2, n_vars // 8), n_vars)
     k_hi = min(max(k_lo + 1, n_vars // 2), n_vars)

@@ -39,6 +39,8 @@ from .gcnn import (
 )
 from .instances import (
     MilpInstance,
+    check_covering_sizes,
+    check_knapsack_sizes,
     generate_covering,
     generate_knapsack,
     parse_instance,
@@ -104,6 +106,10 @@ class PipelineConfig:
         if not self.grid:
             raise UsageError("threshold grid is empty")
         try:
+            if self.family == "covering":
+                check_covering_sizes(self.n_vars, self.n_rows)
+            else:
+                check_knapsack_sizes(self.n_items, self.n_dims)
             collect_solver_config(self)
             eval_solver_config(self)
             train_config(self)
@@ -259,13 +265,25 @@ def _collect_one(args: tuple[MilpInstance, SolverConfig]) -> tuple[str, str | No
     return instance.name, bnb.serialize_pool(pool, instance), "ok"
 
 
+def _solver_config(config: PipelineConfig, keys: dict[str, str], **fixed) -> SolverConfig:
+    """SolverConfig with each field of ``keys`` read from the config key it maps to.
+
+    SolverConfig's messages start with the rejected field; it is renamed to its config key.
+    """
+    try:
+        return SolverConfig(**{field: getattr(config, key) for field, key in keys.items()}, **fixed)
+    except ValueError as exc:
+        field, _, rest = str(exc).partition(" ")
+        raise ValueError(f"{keys.get(field, field)} {rest}") from None
+
+
 def collect_solver_config(config: PipelineConfig) -> SolverConfig:
-    return SolverConfig(
-        step_limit=config.collect_step_limit,
-        heuristic_emphasis=config.collect_emphasis,
-        collect_pool=True,
-        pool_size=config.pool_size,
-    )
+    keys = {
+        "step_limit": "collect_step_limit",
+        "heuristic_emphasis": "collect_emphasis",
+        "pool_size": "pool_size",
+    }
+    return _solver_config(config, keys, collect_pool=True)
 
 
 def run_collect(config: PipelineConfig) -> list[str]:
@@ -352,11 +370,8 @@ def load_trained_model(config: PipelineConfig) -> GcnnModel:
 
 
 def eval_solver_config(config: PipelineConfig) -> SolverConfig:
-    return SolverConfig(
-        step_limit=config.step_limit,
-        heuristic_emphasis=config.emphasis,
-        collect_pool=False,
-    )
+    keys = {"step_limit": "step_limit", "heuristic_emphasis": "emphasis"}
+    return _solver_config(config, keys, collect_pool=False)
 
 
 def run_gridsearch(config: PipelineConfig):

@@ -53,8 +53,12 @@ def test_fixings_validated():
     )
     with pytest.raises(ValueError):
         solve(inst, {1: 1}, BIG)  # continuous variable
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="must be 0 or 1"):
         solve(inst, {0: 0.5}, BIG)  # not a 0/1 value
+    with pytest.raises(ValueError, match="outside its bounds"):
+        solve(inst, {0: 2}, BIG)  # the shared bounds check rejects it first
+    with pytest.raises(ValueError, match="out of range"):
+        solve(inst, {2: 1}, BIG)
 
 
 @pytest.mark.parametrize("seed", range(15))

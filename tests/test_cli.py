@@ -204,7 +204,7 @@ class TestConfigText:
         "extra, message",
         [
             ("step_limit=0\n", "step_limit must be >= 1"),
-            ("collect_step_limit=0\n", "step_limit must be >= 1"),
+            ("collect_step_limit=0\n", "collect_step_limit must be >= 1"),
             ("pool_size=0\n", "pool_size must be >= 1"),
             ("epochs=0\n", "epochs must be >= 1"),
             ("batch_size=0\n", "batch_size and epochs must be >= 1"),
@@ -212,8 +212,9 @@ class TestConfigText:
             ("hidden_dim=0\n", "hidden_dim must be >= 1"),
             ("temperature=0\n", "temperature must be > 0"),
             ("temperature=-1\n", "temperature must be > 0"),
-            ("collect_emphasis=loud\n", "unknown heuristic_emphasis 'loud'"),
+            ("collect_emphasis=loud\n", "collect_emphasis must be 'off' or 'aggressive', got 'loud'"),
             ("loss_mode=sum\n", "unknown loss_mode 'sum'"),
+            ("emphasis=loud\n", "emphasis must be 'off' or 'aggressive', got 'loud'"),
         ],
     )
     def test_bad_stage_settings_rejected_before_any_work(self, workdir, capsys, extra, message):
@@ -222,6 +223,28 @@ class TestConfigText:
         assert main(["generate", "--config", str(cfg)]) == 1
         assert message in capsys.readouterr().err
         assert not (tmp / "out").exists()
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            ("n_vars=1\n", "need n_vars >= n_rows >= 1, got n_vars=1 and n_rows=7"),
+            ("n_vars=0\n", "need n_vars >= n_rows >= 1, got n_vars=0 and n_rows=7"),
+            ("n_rows=0\n", "need n_vars >= n_rows >= 1, got n_vars=12 and n_rows=0"),
+            ("family=knapsack\nn_items=0\n", "n_items and n_dims must be >= 1, got 0 and 2"),
+            ("family=knapsack\nn_dims=0\n", "n_items and n_dims must be >= 1, got 12 and 0"),
+        ],
+    )
+    def test_bad_instance_sizes_rejected_before_any_work(self, workdir, capsys, extra, message):
+        tmp, cfg = workdir
+        cfg.write_text(cfg.read_text() + extra)
+        assert main(["generate", "--config", str(cfg)]) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp / "out").exists()
+
+    def test_sizes_of_the_other_family_are_not_checked(self, workdir):
+        tmp, cfg = workdir
+        cfg.write_text(cfg.read_text() + "family=knapsack\nn_vars=0\nn_rows=0\n")
+        assert main(["generate", "--config", str(cfg)]) == 0
 
     def test_hash_inside_a_value_is_kept(self):
         values = parse_config_text("outdir=/tmp/run#2\n# a comment line\n  # indented\n")

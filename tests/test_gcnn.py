@@ -7,6 +7,7 @@ from confdive.bnb import SolutionPool, SolverConfig, solve
 from confdive.encoder import encode
 from confdive.gcnn import (
     DivergenceDetected,
+    _loss_and_gradients,
     GraphTargets,
     ShapeMismatch,
     TargetSolution,
@@ -187,6 +188,27 @@ class TestLoss:
             GraphTargets(g4, []),
         ]
         assert loss_fullbatch(model, with_empty) == pytest.approx(math.log(2) / 5, abs=1e-12)
+
+    @pytest.mark.parametrize("mode", ["minibatch", "fullbatch"])
+    def test_public_loss_is_the_training_loss_bit_for_bit(self, mode):
+        # mixed graph sizes make per-graph and pooled scaling round differently
+        graphs = [graph_with_binaries(k, seed=k) for k in (1, 3, 5, 7, 11)]
+        model = init_model(seed=2)
+        rng = np.random.default_rng(17)
+        loss_fn = loss_minibatch if mode == "minibatch" else loss_fullbatch
+        for _ in range(40):
+            batch = []
+            for g in rng.choice(len(graphs), size=int(rng.integers(1, 6))):
+                k = int(graphs[g].binary_mask.sum())
+                sols = [
+                    TargetSolution(
+                        rng.integers(0, 2, size=k).astype(float),
+                        rng.random(k) if rng.random() < 0.5 else float(rng.random()),
+                    )
+                    for _ in range(int(rng.integers(0, 3)))
+                ]
+                batch.append(GraphTargets(graphs[g], sols))
+            assert loss_fn(model, batch) == _loss_and_gradients(model, batch, mode)[0]
 
     def test_loss_nonnegative_and_clamped(self):
         g = graph_with_binaries(3, seed=8)
@@ -401,6 +423,17 @@ class TestMalformedModelFiles:
         text = "\n".join(self._text().splitlines()[:keep]) + "\n"
         with pytest.raises(ValueError, match="truncated"):
             load_model(text)
+
+    def test_values_disagree_with_declared_shape(self):
+        lines = self._text().splitlines()
+        bias = lines.index("PARAM var_embed.b 4") + 1
+        short_bias = lines[:bias] + [lines[bias].rsplit(" ", 1)[0]] + lines[bias + 1 :]
+        with pytest.raises(ValueError, match=r"var_embed.b has shape \(3,\), expected \(4,\)"):
+            load_model("\n".join(short_bias) + "\n")
+        row = lines.index("PARAM con_embed.w 2 4") + 1
+        short_rows = lines[:row] + [ln.rsplit(" ", 1)[0] for ln in lines[row : row + 2]]
+        with pytest.raises(ValueError, match=r"con_embed.w has shape \(2, 3\), expected \(2, 4\)"):
+            load_model("\n".join(short_rows + lines[row + 2 :]) + "\n")
 
     def test_header_hidden_dim_disagrees_with_parameters(self):
         text = self._text().replace("hidden_dim 4", "hidden_dim 5")

