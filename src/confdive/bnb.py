@@ -144,9 +144,8 @@ def solve(
         values = res.primal_values
         candidates: list[tuple[float, np.ndarray]] = []
 
-        frac = np.abs(values - np.round(values))
-        fractional = int_mask & (frac > INT_TOL)
-        if not fractional.any():
+        order = _fractional_order(values, int_mask)
+        if not order:
             snapped = values.copy()
             snapped[int_mask] = np.round(snapped[int_mask])
             if _rows_ok(A, b, snapped):
@@ -156,7 +155,7 @@ def solve(
                 dived = _dive_arrays(c, A, b, int_mask, lo_n, hi_n, values)
                 if dived is not None:
                     candidates.append((float(c @ dived), dived))
-            j = _most_fractional(frac, fractional)
+            j = order[0]
             v = values[j]
             hi_dn = hi_n.copy()
             hi_dn[j] = math.floor(v)
@@ -220,10 +219,15 @@ def _rows_ok(A: np.ndarray, b: np.ndarray, values: np.ndarray) -> bool:
     return not A.shape[0] or bool(np.all(A @ values <= b + FEAS_TOL))
 
 
-def _most_fractional(frac: np.ndarray, fractional_mask: np.ndarray) -> int:
-    # distance to the nearest integer, largest first, ties to the lowest index
-    score = np.where(fractional_mask, np.minimum(frac, 1.0 - frac), -1.0)
-    return int(np.argmax(score))
+def _fractional_order(values: np.ndarray, int_mask: np.ndarray) -> list[int]:
+    """Fractional integer variables, most fractional first, ties to the lowest index.
+
+    Empty when every integer variable is within ``INT_TOL`` of an integer.
+    """
+    frac = np.abs(values - np.round(values))
+    idx = np.flatnonzero(int_mask & (frac > INT_TOL))
+    score = np.minimum(frac[idx], 1.0 - frac[idx])  # distance to the nearest integer
+    return idx[np.argsort(-score, kind="stable")].tolist()
 
 
 def _dive_arrays(
@@ -235,15 +239,22 @@ def _dive_arrays(
     hi: np.ndarray,
     values: np.ndarray,
 ) -> np.ndarray | None:
+    """Round fractional integer variables of ``values`` one at a time, most fractional first.
+
+    Committing a rounding changes only that variable, so the order is computed
+    once per LP point and recomputed only after an LP repair. Each variable
+    taken from the order (rounded or repaired) and the final snap is one step
+    against the cap of one step per integer variable plus one.
+    """
     lo = lo.copy()
     hi = hi.copy()
     vals = values.copy()
     has_continuous = bool((~int_mask).any())
     slack = (b - A @ vals) if A.shape[0] else np.zeros(0)
+    order = _fractional_order(vals, int_mask)
+    pos = 0
     for _ in range(int(int_mask.sum()) + 1):
-        frac = np.abs(vals - np.round(vals))
-        fractional = int_mask & (frac > INT_TOL)
-        if not fractional.any():
+        if pos == len(order):
             snapped = vals.copy()
             snapped[int_mask] = np.round(snapped[int_mask])
             if np.all(snapped >= lo - FEAS_TOL) and np.all(snapped <= hi + FEAS_TOL) and _rows_ok(A, b, snapped):
@@ -255,24 +266,25 @@ def _dive_arrays(
                 if res.status == "optimal":
                     return res.primal_values
             return None
-        j = _most_fractional(frac, fractional)
-        fpart = vals[j] - math.floor(vals[j])
+        j = order[pos]
+        pos += 1
+        v = float(vals[j])
+        fpart = v - math.floor(v)
         if fpart > 0.5 + 1e-12:
-            preferred = math.floor(vals[j]) + 1
+            preferred = math.floor(v) + 1
         elif fpart < 0.5 - 1e-12:
-            preferred = math.floor(vals[j])
+            preferred = math.floor(v)
         else:
-            preferred = math.floor(vals[j]) + (0 if c[j] >= 0 else 1)
+            preferred = math.floor(v) + (0 if c[j] >= 0 else 1)
         j_lo, j_hi = math.ceil(lo[j] - FEAS_TOL), math.floor(hi[j] + FEAS_TOL)
         preferred = min(max(preferred, j_lo), j_hi)
-        other = preferred + 1 if preferred <= vals[j] else preferred - 1
+        other = preferred + 1 if preferred <= v else preferred - 1
         committed = False
         for r in (preferred, other):
             if not j_lo <= r <= j_hi:
                 continue
-            delta = float(r) - vals[j]
-            new_slack = slack - A[:, j] * delta if A.shape[0] else slack
-            if not A.shape[0] or bool(np.all(new_slack >= -FEAS_TOL)):
+            new_slack = slack - A[:, j] * (float(r) - v) if A.shape[0] else slack
+            if not A.shape[0] or new_slack.min() >= -FEAS_TOL:
                 vals[j] = float(r)
                 lo[j] = hi[j] = float(r)
                 slack = new_slack
@@ -287,6 +299,8 @@ def _dive_arrays(
             return None
         vals = res.primal_values
         slack = (b - A @ vals) if A.shape[0] else slack
+        order = _fractional_order(vals, int_mask)
+        pos = 0
     return None
 
 

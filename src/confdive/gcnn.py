@@ -159,6 +159,21 @@ def _affine_relu(x: np.ndarray, block: Affine) -> tuple[np.ndarray, np.ndarray]:
     return z, np.maximum(z, 0.0)
 
 
+def _scatter_add(out: np.ndarray, idx: np.ndarray, rows: np.ndarray) -> None:
+    """``np.add.at(out, idx, rows)`` for a 2-D ``out``, by one flat ``np.bincount``.
+
+    bincount adds its weights in input order into cells that start at +0.0, and
+    the weights are ``out`` followed by ``rows``, so each cell sums its old
+    value and then its rows in index order, as ``np.add.at`` does. The result
+    is bitwise the same except that a cell holding -0.0 that receives only
+    -0.0 (or no row at all) comes back as +0.0.
+    """
+    n, h = out.shape
+    keys = np.concatenate([np.arange(n), idx])[:, None] * h + np.arange(h)
+    weights = np.concatenate([out, rows])  # also makes a strided ``rows`` view contiguous
+    out[...] = np.bincount(keys.ravel(), weights.ravel(), minlength=n * h).reshape(n, h)
+
+
 def _check_graph(model: GcnnModel, graph: BipartiteGraph) -> None:
     if graph.var_feats.shape[1] != model.f_var:
         raise ShapeMismatch(
@@ -182,7 +197,7 @@ def _half_conv(model: GcnnModel, name: str, graph: BipartiteGraph, h_con, h_var)
     z_msg, h_msg = _affine_relu(m_in, msg)
     deg = np.maximum(np.bincount(idx, minlength=own.shape[0]), 1)
     s = np.zeros(own.shape)
-    np.add.at(s, idx, h_msg)
+    _scatter_add(s, idx, h_msg)
     s /= deg[:, None]
     u_in = np.concatenate([own, s], axis=1)
     z_upd, h_upd = _affine_relu(u_in, upd)
@@ -296,8 +311,8 @@ def _half_conv_backward(
     g_msg = g_u_in[:, h:][idx] / deg[idx, None]
     g_m_in = _affine_relu_backward(f"{name}_msg", m_in, z_msg, g_msg, grads) @ msg.w.T
     g_con, g_var = (g_own, g_other) if name == "v2c" else (g_other, g_own)
-    np.add.at(g_con, ci, g_m_in[:, :h])
-    np.add.at(g_var, vi, g_m_in[:, h : 2 * h])
+    _scatter_add(g_con, ci, g_m_in[:, :h])
+    _scatter_add(g_var, vi, g_m_in[:, h : 2 * h])
     return g_own
 
 
@@ -459,8 +474,11 @@ def load_model(text: str) -> GcnnModel:
         n_lines = shape[0] if len(shape) == 2 else 1  # a matrix has one line per row
         if i + n_lines >= len(lines):
             raise ValueError(f"parameter {name} is truncated")
-        rows = [[float(x) for x in ln.split()] for ln in lines[i + 1 : i + 1 + n_lines]]
-        arr = np.array(rows if len(shape) == 2 else rows[0], dtype=np.float64)
+        try:
+            rows = [[float(x) for x in ln.split()] for ln in lines[i + 1 : i + 1 + n_lines]]
+            arr = np.array(rows if len(shape) == 2 else rows[0], dtype=np.float64)
+        except ValueError as exc:  # a non-numeric token, or matrix rows of different lengths
+            raise ValueError(f"parameter {name} of declared shape {shape} is malformed: {exc}") from exc
         if arr.shape != shape:
             raise ValueError(f"parameter {name} has shape {arr.shape}, expected {shape}")
         i += 1 + n_lines

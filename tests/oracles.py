@@ -1,12 +1,16 @@
-"""Independent oracles used by the tests: exhaustive enumerations, no solver code."""
+"""Oracles used by the tests: exhaustive enumerations with no solver code, and
+slow reference versions of solver fast paths that must give the same bytes."""
 
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
-from confdive.instances import MilpInstance
+from confdive.bnb import INT_TOL
+from confdive.instances import FEAS_TOL, MilpInstance
+from confdive.simplex import _solve_lp_arrays
 
 
 def enumerate_binary_optimum(instance: MilpInstance, tol: float = 1e-9):
@@ -76,3 +80,79 @@ def random_feasible_lp(rng: np.random.Generator, n_vars: int, n_rows: int):
     x0 = rng.uniform(0.2, 0.8, n_vars) * ub
     b = A @ x0 + rng.uniform(0.1, 1.0, n_rows)
     return c, A, b, lb, ub
+
+
+def _most_fractional(frac: np.ndarray, fractional_mask: np.ndarray) -> int:
+    # distance to the nearest integer, largest first, ties to the lowest index
+    score = np.where(fractional_mask, np.minimum(frac, 1.0 - frac), -1.0)
+    return int(np.argmax(score))
+
+
+def _rows_ok(A: np.ndarray, b: np.ndarray, values: np.ndarray) -> bool:
+    return not A.shape[0] or bool(np.all(A @ values <= b + FEAS_TOL))
+
+
+def rescan_dive_arrays(
+    c: np.ndarray,
+    A: np.ndarray,
+    b: np.ndarray,
+    int_mask: np.ndarray,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    values: np.ndarray,
+) -> np.ndarray | None:
+    """Reference for ``bnb._dive_arrays``: rescans every variable for the most
+    fractional one before each rounding, where the fast path sorts once per LP point."""
+    lo = lo.copy()
+    hi = hi.copy()
+    vals = values.copy()
+    has_continuous = bool((~int_mask).any())
+    slack = (b - A @ vals) if A.shape[0] else np.zeros(0)
+    for _ in range(int(int_mask.sum()) + 1):
+        frac = np.abs(vals - np.round(vals))
+        fractional = int_mask & (frac > INT_TOL)
+        if not fractional.any():
+            snapped = vals.copy()
+            snapped[int_mask] = np.round(snapped[int_mask])
+            if np.all(snapped >= lo - FEAS_TOL) and np.all(snapped <= hi + FEAS_TOL) and _rows_ok(A, b, snapped):
+                return snapped
+            if has_continuous:
+                lo2, hi2 = lo.copy(), hi.copy()
+                lo2[int_mask] = hi2[int_mask] = snapped[int_mask]
+                res = _solve_lp_arrays(c, A, b, lo2, hi2)
+                if res.status == "optimal":
+                    return res.primal_values
+            return None
+        j = _most_fractional(frac, fractional)
+        fpart = vals[j] - math.floor(vals[j])
+        if fpart > 0.5 + 1e-12:
+            preferred = math.floor(vals[j]) + 1
+        elif fpart < 0.5 - 1e-12:
+            preferred = math.floor(vals[j])
+        else:
+            preferred = math.floor(vals[j]) + (0 if c[j] >= 0 else 1)
+        j_lo, j_hi = math.ceil(lo[j] - FEAS_TOL), math.floor(hi[j] + FEAS_TOL)
+        preferred = min(max(preferred, j_lo), j_hi)
+        other = preferred + 1 if preferred <= vals[j] else preferred - 1
+        committed = False
+        for r in (preferred, other):
+            if not j_lo <= r <= j_hi:
+                continue
+            delta = float(r) - vals[j]
+            new_slack = slack - A[:, j] * delta if A.shape[0] else slack
+            if not A.shape[0] or bool(np.all(new_slack >= -FEAS_TOL)):
+                vals[j] = float(r)
+                lo[j] = hi[j] = float(r)
+                slack = new_slack
+                committed = True
+                break
+        if committed:
+            continue
+        # neither direction keeps the rows satisfied: one LP repair attempt
+        lo[j] = hi[j] = float(preferred)
+        res = _solve_lp_arrays(c, A, b, lo, hi)
+        if res.status != "optimal":
+            return None
+        vals = res.primal_values
+        slack = (b - A @ vals) if A.shape[0] else slack
+    return None

@@ -11,6 +11,7 @@ from confdive.bnb import (
     solve,
 )
 from confdive.instances import (
+    ConstraintDef,
     MilpInstance,
     VarDef,
     brute_force_solve,
@@ -18,7 +19,9 @@ from confdive.instances import (
     generate_covering,
     generate_knapsack,
 )
-from confdive.simplex import solve_lp
+from confdive.simplex import _solve_lp_arrays, fixed_bounds, solve_lp
+
+from oracles import rescan_dive_arrays
 
 BIG = SolverConfig(step_limit=10**6)
 
@@ -140,6 +143,103 @@ class TestDive:
                 successes += 1
                 assert check_feasibility(inst, result.values)
         assert successes >= 15  # the family is built so rounding up always repairs
+
+
+def _arrays(inst, fixings=None):
+    lo, hi = fixed_bounds(inst, fixings)
+    return (inst.objective_vector(), *inst.dense_matrix(), inst.integer_mask(), lo, hi)
+
+
+def _same_result(got, expected):
+    if expected is None:
+        return got is None
+    return got is not None and got.tobytes() == expected.tobytes()
+
+
+def _counting_lp(monkeypatch, int_mask):
+    """Counts the dive's LP calls, and the repairs whose new point is still fractional."""
+    counts = {"calls": 0, "fractional_after": 0}
+
+    def counted(*args, **kwargs):
+        res = _solve_lp_arrays(*args, **kwargs)
+        counts["calls"] += 1
+        if res.status == "optimal" and bnb._fractional_order(res.primal_values, int_mask):
+            counts["fractional_after"] += 1
+        return res
+
+    monkeypatch.setattr(bnb, "_solve_lp_arrays", counted)
+    return counts
+
+
+class TestDiveMatchesRescanReference:
+    """``_dive_arrays`` sorts once per LP point; the rescan in ``oracles`` is the reference."""
+
+    @pytest.mark.parametrize("family", ["covering", "knapsack"])
+    @pytest.mark.parametrize("fixed", [False, True])
+    def test_lp_points(self, family, fixed):
+        dives = 0
+        for seed in range(12):
+            inst = generate_covering(seed, 20, 12) if family == "covering" else generate_knapsack(seed, 20, 3)
+            rng = np.random.default_rng(seed)
+            fixings = {int(j): int(rng.integers(0, 2)) for j in rng.choice(20, 4, replace=False)} if fixed else {}
+            c, A, b, int_mask, lo, hi = args = _arrays(inst, fixings)
+            res = _solve_lp_arrays(c, A, b, lo, hi)
+            if res.status != "optimal":
+                continue
+            dives += 1
+            expected = rescan_dive_arrays(*args, res.primal_values)
+            assert _same_result(bnb._dive_arrays(*args, res.primal_values), expected), seed
+        assert dives >= 8
+
+    @pytest.mark.parametrize("family", ["covering", "knapsack"])
+    def test_tied_points_with_repairs(self, family, monkeypatch):
+        # quarter-step points: many equal fractionalities, and rows they violate force repairs
+        int_mask = np.ones(16, dtype=bool)
+        counts = _counting_lp(monkeypatch, int_mask)
+        for seed in range(40):
+            inst = generate_covering(seed, 16, 8) if family == "covering" else generate_knapsack(seed, 16, 2)
+            args = _arrays(inst, {0: seed % 2} if seed % 3 == 0 else None)
+            point = np.random.default_rng(seed).integers(0, 5, 16) / 4.0
+            expected = rescan_dive_arrays(*args, point)
+            assert _same_result(bnb._dive_arrays(*args, point), expected), seed
+        assert counts["calls"] > 0 and counts["fractional_after"] > 0
+
+    def test_equality_row_forces_a_repair(self, monkeypatch):
+        # x0 + x1 = 1 from (0.5, 0.5): neither rounding of x0 keeps both rows, so the
+        # dive fixes x0 at its preferred 0 and re-solves, and the new point is integral
+        inst = MilpInstance(
+            "eq",
+            (VarDef("x0", "binary", 0, 1, 1.0), VarDef("x1", "binary", 0, 1, 1.0)),
+            (ConstraintDef("le", ((0, 1.0), (1, 1.0)), 1.0), ConstraintDef("ge", ((0, -1.0), (1, -1.0)), -1.0)),
+        )
+        counts = _counting_lp(monkeypatch, inst.integer_mask())
+        point = np.array([0.5, 0.5])
+        got = bnb._dive_arrays(*_arrays(inst), point)
+        assert counts["calls"] == 1
+        assert np.array_equal(got, [0.0, 1.0])
+        assert _same_result(got, rescan_dive_arrays(*_arrays(inst), point))
+
+    def test_mixed_integer_point_reaches_the_snap_lp(self, monkeypatch):
+        # x is within INT_TOL of 1, so it is not rounded; snapping it breaks x + y <= 1
+        # by 5e-7, and the continuous y is re-solved with x fixed at 1
+        inst = MilpInstance(
+            "mix",
+            (VarDef("x", "binary", 0, 1, -1.0), VarDef("y", "continuous", 0, 4, -1.0)),
+            (ConstraintDef("cap", ((0, 1.0), (1, 1.0)), 1.0),),
+        )
+        counts = _counting_lp(monkeypatch, inst.integer_mask())
+        point = np.array([1.0 - 5e-7, 5e-7])
+        got = bnb._dive_arrays(*_arrays(inst), point)
+        assert counts["calls"] == 1
+        assert np.array_equal(got, [1.0, 0.0])
+        assert _same_result(got, rescan_dive_arrays(*_arrays(inst), point))
+
+
+def test_fractional_order_most_fractional_first_ties_to_lowest_index():
+    values = np.array([0.25, 0.5, 0.75, 3.0, 0.5, 0.5, 1e-7, 2.5])
+    int_mask = np.array([True, True, True, True, False, True, True, True])
+    assert bnb._fractional_order(values, int_mask) == [1, 5, 7, 0, 2]
+    assert bnb._fractional_order(np.round(values), int_mask) == []
 
 
 def test_emphasis_effect_smoke():

@@ -8,6 +8,7 @@ from confdive.encoder import encode
 from confdive.gcnn import (
     DivergenceDetected,
     _loss_and_gradients,
+    _scatter_add,
     GraphTargets,
     ShapeMismatch,
     TargetSolution,
@@ -435,6 +436,20 @@ class TestMalformedModelFiles:
         with pytest.raises(ValueError, match=r"con_embed.w has shape \(2, 3\), expected \(2, 4\)"):
             load_model("\n".join(short_rows + lines[row + 2 :]) + "\n")
 
+    def test_ragged_matrix_names_the_parameter(self):
+        lines = self._text().splitlines()
+        row = lines.index("PARAM con_embed.w 2 4") + 1
+        lines[row] = lines[row].rsplit(" ", 1)[0]  # first row 3 values, second row 4
+        with pytest.raises(ValueError, match=r"con_embed.w of declared shape \(2, 4\) is malformed"):
+            load_model("\n".join(lines) + "\n")
+
+    def test_non_numeric_value_names_the_parameter(self):
+        lines = self._text().splitlines()
+        bias = lines.index("PARAM var_embed.b 4") + 1
+        lines[bias] = "0.5 x " + lines[bias].split(" ", 2)[2]
+        with pytest.raises(ValueError, match=r"var_embed.b of declared shape \(4,\) is malformed"):
+            load_model("\n".join(lines) + "\n")
+
     def test_header_hidden_dim_disagrees_with_parameters(self):
         text = self._text().replace("hidden_dim 4", "hidden_dim 5")
         with pytest.raises(ValueError, match="var_embed"):
@@ -446,3 +461,43 @@ class TestMalformedModelFiles:
         model.c2v_upd = init_model(hidden_dim=4, seed=2).c2v_msg
         with pytest.raises(ValueError, match="c2v_upd"):
             load_model(save_model(model))
+
+
+class TestScatterAdd:
+    """``_scatter_add`` against ``np.add.at``, byte for byte."""
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_matches_add_at_bytes(self, seed):
+        rng = np.random.default_rng(seed)
+        n, h = int(rng.integers(1, 12)), int(rng.integers(1, 9))
+        n_edges = int(rng.integers(0, 40))
+        idx = rng.integers(0, n, n_edges)  # unsorted, repeated, some nodes without edges
+        if seed % 2:  # a strided column slice, as the backward pass passes in
+            rows = rng.normal(size=(n_edges, 3 * h))[:, h : 2 * h]
+        else:
+            rows = rng.normal(size=(n_edges, h))
+        start = np.zeros((n, h)) if seed % 3 == 0 else rng.normal(size=(n, h))
+        expected = start.copy()
+        np.add.at(expected, idx, rows)
+        got = start.copy()
+        _scatter_add(got, idx, rows)
+        assert got.tobytes() == expected.tobytes()
+
+    def test_no_edges_and_empty_side(self):
+        for n, h in ((3, 2), (0, 2)):
+            out = np.arange(n * h, dtype=np.float64).reshape(n, h)
+            before = out.tobytes()
+            _scatter_add(out, np.zeros(0, dtype=np.int64), np.zeros((0, h)))
+            assert out.tobytes() == before
+
+    def test_negative_zero_without_edges_becomes_positive_zero(self):
+        # bincount's cells start at +0.0 and +0.0 + -0.0 is +0.0, so a -0.0 cell
+        # that receives no row (or only -0.0 rows) loses its sign; np.add.at keeps it.
+        out = np.array([[-0.0, -0.0], [-0.0, 1.0]])
+        expected = out.copy()
+        idx, rows = np.array([0]), np.array([[2.0, -0.0]])
+        np.add.at(expected, idx, rows)
+        _scatter_add(out, idx, rows)
+        assert np.signbit(expected).tolist() == [[False, True], [True, False]]
+        assert np.signbit(out).tolist() == [[False, False], [False, False]]
+        assert np.array_equal(out, expected)
