@@ -1,6 +1,6 @@
 """Train the GCNN on collected pools and compare the two loss normalizations.
 
-Run: python3 demos/03_train_gcnn.py  (about half a minute)
+Run: python3 demos/03_train_gcnn.py  (about 6 s on a 2-core Xeon)
 """
 
 import numpy as np

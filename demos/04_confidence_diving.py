@@ -1,6 +1,6 @@
 """Fix high-confidence variables behind a symmetric threshold and watch the trade-off.
 
-Run: python3 demos/04_confidence_diving.py  (about a minute)
+Run: python3 demos/04_confidence_diving.py  (about 15 s on a 2-core Xeon)
 """
 
 from confdive import (

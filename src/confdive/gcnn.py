@@ -8,6 +8,13 @@ coefficient] into the receiving side, then updates that side by a ReLU affine
 over [old embedding, mean message]. Forward, losses, and gradients are
 explicit numpy; no autodiff framework.
 
+The message affine projects, then gathers: each side's node embeddings are
+multiplied by their slice of the message weights, and the products are
+gathered per edge, so no edges x (2h+1) input is built. Backward sums the
+per-edge gradient into per-node gradients before its matmuls. Every scatter
+over edges is a zero-start segment sum (``_scatter_add``), one flat
+``np.bincount`` that equals ``np.add.at`` into zeros bit for bit.
+
 Two loss normalizations are provided: the per-graph one (each graph's
 log-likelihood is divided by its own node count before averaging over the
 batch) and the pooled one (a single division by the total node count).
@@ -159,19 +166,17 @@ def _affine_relu(x: np.ndarray, block: Affine) -> tuple[np.ndarray, np.ndarray]:
     return z, np.maximum(z, 0.0)
 
 
-def _scatter_add(out: np.ndarray, idx: np.ndarray, rows: np.ndarray) -> None:
-    """``np.add.at(out, idx, rows)`` for a 2-D ``out``, by one flat ``np.bincount``.
+def _scatter_add(idx: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
+    """Zero-start segment sum: row k of the result sums ``rows[e]`` over ``idx[e] == k``.
 
-    bincount adds its weights in input order into cells that start at +0.0, and
-    the weights are ``out`` followed by ``rows``, so each cell sums its old
-    value and then its rows in index order, as ``np.add.at`` does. The result
-    is bitwise the same except that a cell holding -0.0 that receives only
-    -0.0 (or no row at all) comes back as +0.0.
+    One flat ``np.bincount`` over E*h keys. bincount adds its weights in input
+    order into cells that start at +0.0, so the result equals ``np.add.at``
+    into ``np.zeros((n, h))`` bit for bit.
     """
-    n, h = out.shape
-    keys = np.concatenate([np.arange(n), idx])[:, None] * h + np.arange(h)
-    weights = np.concatenate([out, rows])  # also makes a strided ``rows`` view contiguous
-    out[...] = np.bincount(keys.ravel(), weights.ravel(), minlength=n * h).reshape(n, h)
+    h = rows.shape[1]
+    keys = idx[:, None] * h + np.arange(h)
+    sums = np.bincount(keys.ravel(), rows.ravel(), minlength=n * h)
+    return sums.astype(np.float64, copy=False).reshape(n, h)  # integer zeros when E == 0
 
 
 def _check_graph(model: GcnnModel, graph: BipartiteGraph) -> None:
@@ -188,20 +193,24 @@ def _check_graph(model: GcnnModel, graph: BipartiteGraph) -> None:
 def _half_conv(model: GcnnModel, name: str, graph: BipartiteGraph, h_con, h_var):
     """Half-convolution "v2c" (into constraints) or "c2v" (into variables).
 
+    The message affine over [h_con[ci], h_var[vi], edge_feat] is computed as
+    "project, then gather": each side's embeddings are multiplied by their
+    slice of ``msg.w`` once per node, and the products are gathered per edge.
     Returns the receiving side's new embeddings and what the backward pass needs.
     """
     msg, upd = getattr(model, f"{name}_msg"), getattr(model, f"{name}_upd")
+    h = h_con.shape[1]
     ci, vi = graph.edge_con, graph.edge_var
     idx, own = (ci, h_con) if name == "v2c" else (vi, h_var)
-    m_in = np.concatenate([h_con[ci], h_var[vi], graph.edge_feat[:, None]], axis=1)
-    z_msg, h_msg = _affine_relu(m_in, msg)
+    z_msg = (h_con @ msg.w[:h])[ci] + (h_var @ msg.w[h : 2 * h])[vi]
+    z_msg += graph.edge_feat[:, None] * msg.w[2 * h]
+    z_msg += msg.b
     deg = np.maximum(np.bincount(idx, minlength=own.shape[0]), 1)
-    s = np.zeros(own.shape)
-    _scatter_add(s, idx, h_msg)
+    s = _scatter_add(idx, np.maximum(z_msg, 0.0), own.shape[0])
     s /= deg[:, None]
     u_in = np.concatenate([own, s], axis=1)
     z_upd, h_upd = _affine_relu(u_in, upd)
-    return h_upd, (m_in, z_msg, deg, u_in, z_upd)
+    return h_upd, (h_con, h_var, z_msg, deg, u_in, z_upd)
 
 
 def _forward_cached(model: GcnnModel, graph: BipartiteGraph) -> dict:
@@ -245,6 +254,7 @@ def _graph_term(probs: np.ndarray, item: GraphTargets, want_grad: bool):
     k = probs.shape[0]
     p = np.clip(probs, PROB_CLAMP, 1.0 - PROB_CLAMP)
     inside = (probs >= PROB_CLAMP) & (probs <= 1.0 - PROB_CLAMP)
+    log_p, log_q, q = np.log(p), np.log1p(-p), 1.0 - p  # shared by every solution
     term = 0.0
     grad = np.zeros(k) if want_grad else None
     for sol in item.solutions:
@@ -254,9 +264,9 @@ def _graph_term(probs: np.ndarray, item: GraphTargets, want_grad: bool):
         if np.any((np.abs(x) > 1e-9) & (np.abs(x - 1.0) > 1e-9)):
             raise ValueError("target values must be 0 or 1")
         w = _solution_weight_vector(sol, k)
-        term += float(np.sum(w * (x * np.log(p) + (1.0 - x) * np.log1p(-p))))
+        term += float(np.sum(w * (x * log_p + (1.0 - x) * log_q)))
         if want_grad:
-            grad += w * (x / p - (1.0 - x) / (1.0 - p)) * inside
+            grad += w * (x / p - (1.0 - x) / q) * inside
     return term, grad
 
 
@@ -294,26 +304,35 @@ def _affine_relu_backward(
 
 def _half_conv_backward(
     model: GcnnModel, name: str, graph: BipartiteGraph, saved: tuple,
-    g_out: np.ndarray, g_other: np.ndarray, grads: dict[str, np.ndarray],
-) -> np.ndarray:
+    g_out: np.ndarray, grads: dict[str, np.ndarray],
+) -> tuple[np.ndarray, np.ndarray]:
     """Back through :func:`_half_conv` from d(loss)/d(its output).
 
-    Returns the receiving side's old-embedding gradient and adds the other
-    side's message gradient into ``g_other`` in place, which fixes the float sum order.
+    Sums the per-edge message gradient into node-level gradients, so the
+    matmuls run over nodes, not edges. Returns d(loss)/d(h_con) and d(loss)/d(h_var).
     """
     msg, upd = getattr(model, f"{name}_msg"), getattr(model, f"{name}_upd")
-    m_in, z_msg, deg, u_in, z_upd = saved
+    h_con, h_var, z_msg, deg, u_in, z_upd = saved
     h = g_out.shape[1]
     ci, vi = graph.edge_con, graph.edge_var
     idx = ci if name == "v2c" else vi
     g_u_in = _affine_relu_backward(f"{name}_upd", u_in, z_upd, g_out, grads) @ upd.w.T
-    g_own = g_u_in[:, :h].copy()
-    g_msg = g_u_in[:, h:][idx] / deg[idx, None]
-    g_m_in = _affine_relu_backward(f"{name}_msg", m_in, z_msg, g_msg, grads) @ msg.w.T
-    g_con, g_var = (g_own, g_other) if name == "v2c" else (g_other, g_own)
-    _scatter_add(g_con, ci, g_m_in[:, :h])
-    _scatter_add(g_var, vi, g_m_in[:, h : 2 * h])
-    return g_own
+    g_z = g_u_in[:, h:][idx]
+    g_z /= deg[idx, None]
+    g_z *= z_msg > 0
+    G_con = _scatter_add(ci, g_z, h_con.shape[0])
+    G_var = _scatter_add(vi, g_z, h_var.shape[0])
+    g_w = grads[f"{name}_msg.w"]
+    g_w[:h] += h_con.T @ G_con
+    g_w[h : 2 * h] += h_var.T @ G_var
+    g_w[2 * h] += graph.edge_feat @ g_z
+    grads[f"{name}_msg.b"] += g_z.sum(axis=0)
+    g_con, g_var = G_con @ msg.w[:h].T, G_var @ msg.w[h : 2 * h].T
+    if name == "v2c":
+        g_con += g_u_in[:, :h]
+    else:
+        g_var += g_u_in[:, :h]
+    return g_con, g_var
 
 
 def _backward_graph(
@@ -329,9 +348,9 @@ def _backward_graph(
     grads["head.b"] += np.array([g_logit.sum()])
     g_hv1 = np.outer(g_logit, model.head.w[:, 0])
 
-    g_hc1 = np.zeros((graph.n_cons, model.hidden_dim))
-    g_hv0 = _half_conv_backward(model, "c2v", graph, cache["c2v"], g_hv1, g_hc1, grads)
-    g_hc0 = _half_conv_backward(model, "v2c", graph, cache["v2c"], g_hc1, g_hv0, grads)
+    g_hc1, g_hv0 = _half_conv_backward(model, "c2v", graph, cache["c2v"], g_hv1, grads)
+    g_hc0, g_hv0_v2c = _half_conv_backward(model, "v2c", graph, cache["v2c"], g_hc1, grads)
+    g_hv0 += g_hv0_v2c
 
     _affine_relu_backward("var_embed", graph.var_feats, cache["zv0"], g_hv0, grads)
     _affine_relu_backward("con_embed", graph.con_feats, cache["zc0"], g_hc0, grads)
@@ -448,19 +467,28 @@ def save_model(model: GcnnModel) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _int_field(value: str, what: str) -> int:
+    try:
+        return int(value)
+    except ValueError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+
+
 def load_model(text: str) -> GcnnModel:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     header = lines[0].split() if lines else []
     if len(header) != 2 or header[0] != "GCNN":
         raise ValueError("not a GCNN model file")
-    version = int(header[1])
+    version = _int_field(header[1], "model format version")
     if version != MODEL_FORMAT_VERSION:
         raise ValueError(f"unsupported model format version {version}")
     meta: dict[str, int] = {}
     i = 1
     while i < len(lines) and not lines[i].startswith("PARAM"):
-        key, value = lines[i].split()
-        meta[key] = int(value)
+        parts = lines[i].split()
+        if len(parts) != 2:
+            raise ValueError(f"expected '<key> <integer>' in the model header, got {lines[i]!r}")
+        meta[parts[0]] = _int_field(parts[1], f"model header {parts[0]}")
         i += 1
     missing = [key for key in ("hidden_dim", "f_var", "f_con") if key not in meta]
     if missing:
@@ -470,7 +498,8 @@ def load_model(text: str) -> GcnnModel:
         tokens = lines[i].split()
         if tokens[0] != "PARAM" or len(tokens) not in (3, 4):
             raise ValueError(f"expected PARAM <name> <shape>, got {lines[i]!r}")
-        name, shape = tokens[1], tuple(int(t) for t in tokens[2:])
+        name = tokens[1]
+        shape = tuple(_int_field(t, f"shape of parameter {name}") for t in tokens[2:])
         n_lines = shape[0] if len(shape) == 2 else 1  # a matrix has one line per row
         if i + n_lines >= len(lines):
             raise ValueError(f"parameter {name} is truncated")

@@ -17,6 +17,7 @@ lines. Floats are written with ``repr`` so round-trips are exact.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import Iterable, Literal
@@ -118,12 +119,12 @@ class MilpInstance:
                 raise InstanceValidationError(
                     f"{path}", f"binary variable {v.name!r} must have bounds (0, 1)"
                 )
-            if not np.isfinite(v.obj):
+            if not math.isfinite(v.obj):
                 raise InstanceValidationError(f"{path}.obj", "objective coefficient must be finite")
         n = len(self.vars)
         for k, con in enumerate(self.constraints):
             path = f"constraints[{k}]"
-            if not np.isfinite(con.rhs):
+            if not math.isfinite(con.rhs):
                 raise InstanceValidationError(f"{path}.rhs", "rhs must be finite")
             used: set[int] = set()
             for t, (j, a) in enumerate(con.terms):
@@ -138,7 +139,7 @@ class MilpInstance:
                         f"constraint {con.name!r} repeats variable index {j}",
                     )
                 used.add(j)
-                if not np.isfinite(a):
+                if not math.isfinite(a):
                     raise InstanceValidationError(f"{path}.terms[{t}]", "coefficient must be finite")
 
     @property
@@ -236,7 +237,7 @@ def _parse_float(token: str, line_no: int, col: int) -> float:
         x = float(token)
     except ValueError:
         raise InstanceFormatError(f"expected a number, got {token!r}", line_no, col) from None
-    if np.isnan(x):
+    if math.isnan(x):
         raise InstanceFormatError("NaN is not a valid value", line_no, col)
     return x
 

@@ -156,3 +156,46 @@ def rescan_dive_arrays(
         vals = res.primal_values
         slack = (b - A @ vals) if A.shape[0] else slack
     return None
+
+
+def concat_half_conv(model, name: str, graph, h_con: np.ndarray, h_var: np.ndarray):
+    """Reference for ``gcnn._half_conv``: the message affine multiplies the
+    concatenated E x (2h+1) edge input [h_con[ci], h_var[vi], edge_feat] by ``msg.w``."""
+    msg, upd = getattr(model, f"{name}_msg"), getattr(model, f"{name}_upd")
+    ci, vi = graph.edge_con, graph.edge_var
+    idx, own = (ci, h_con) if name == "v2c" else (vi, h_var)
+    m_in = np.concatenate([h_con[ci], h_var[vi], graph.edge_feat[:, None]], axis=1)
+    z_msg = m_in @ msg.w + msg.b
+    deg = np.maximum(np.bincount(idx, minlength=own.shape[0]), 1)
+    s = np.zeros(own.shape)
+    np.add.at(s, idx, np.maximum(z_msg, 0.0))
+    s /= deg[:, None]
+    u_in = np.concatenate([own, s], axis=1)
+    z_upd = u_in @ upd.w + upd.b
+    return np.maximum(z_upd, 0.0), (m_in, z_msg, deg, u_in, z_upd)
+
+
+def concat_half_conv_backward(model, name: str, graph, saved: tuple, g_out: np.ndarray, grads: dict):
+    """Reference for ``gcnn._half_conv_backward``: forms the E x (2h+1) edge-input
+    gradient and scatters its two embedding parts back to the nodes.
+
+    Returns d(loss)/d(h_con) and d(loss)/d(h_var), and adds the block gradients into ``grads``.
+    """
+    msg, upd = getattr(model, f"{name}_msg"), getattr(model, f"{name}_upd")
+    m_in, z_msg, deg, u_in, z_upd = saved
+    h = g_out.shape[1]
+    ci, vi = graph.edge_con, graph.edge_var
+    idx = ci if name == "v2c" else vi
+    g_zu = g_out * (z_upd > 0)
+    grads[f"{name}_upd.w"] += u_in.T @ g_zu
+    grads[f"{name}_upd.b"] += g_zu.sum(axis=0)
+    g_u_in = g_zu @ upd.w.T
+    g_z = g_u_in[:, h:][idx] / deg[idx, None] * (z_msg > 0)
+    grads[f"{name}_msg.w"] += m_in.T @ g_z
+    grads[f"{name}_msg.b"] += g_z.sum(axis=0)
+    g_m_in = g_z @ msg.w.T
+    g_con, g_var = np.zeros((graph.n_cons, h)), np.zeros((graph.n_vars, h))
+    np.add.at(g_con, ci, g_m_in[:, :h])
+    np.add.at(g_var, vi, g_m_in[:, h : 2 * h])
+    (g_con if name == "v2c" else g_var)[...] += g_u_in[:, :h]
+    return g_con, g_var

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from confdive import gcnn
 from confdive.bnb import SolutionPool, SolverConfig, solve
-from confdive.encoder import encode
+from confdive.encoder import CON_FEATURE_DIM, VAR_FEATURE_DIM, BipartiteGraph, encode
 from confdive.gcnn import (
     DivergenceDetected,
     _loss_and_gradients,
@@ -24,6 +25,8 @@ from confdive.gcnn import (
     train,
 )
 from confdive.instances import Assignment, MilpInstance, VarDef, generate_covering
+
+from oracles import concat_half_conv, concat_half_conv_backward
 
 
 def graph_with_binaries(k, seed=0):
@@ -450,6 +453,21 @@ class TestMalformedModelFiles:
         with pytest.raises(ValueError, match=r"var_embed.b of declared shape \(4,\) is malformed"):
             load_model("\n".join(lines) + "\n")
 
+    def test_non_integer_header_value_names_the_key(self):
+        text = self._text().replace("hidden_dim 4", "hidden_dim four")
+        with pytest.raises(ValueError, match="model header hidden_dim must be an integer, got 'four'"):
+            load_model(text)
+
+    def test_header_line_with_extra_token_is_quoted(self):
+        text = self._text().replace("f_var 5", "f_var 5 6")
+        with pytest.raises(ValueError, match="model header, got 'f_var 5 6'"):
+            load_model(text)
+
+    def test_non_integer_parameter_shape_names_the_parameter(self):
+        text = self._text().replace("PARAM var_embed.b 4", "PARAM var_embed.b x")
+        with pytest.raises(ValueError, match="shape of parameter var_embed.b must be an integer, got 'x'"):
+            load_model(text)
+
     def test_header_hidden_dim_disagrees_with_parameters(self):
         text = self._text().replace("hidden_dim 4", "hidden_dim 5")
         with pytest.raises(ValueError, match="var_embed"):
@@ -464,7 +482,13 @@ class TestMalformedModelFiles:
 
 
 class TestScatterAdd:
-    """``_scatter_add`` against ``np.add.at``, byte for byte."""
+    """``_scatter_add``, the zero-start segment sum, against ``np.add.at`` into zeros, byte for byte."""
+
+    @staticmethod
+    def _add_at(idx, rows, n):
+        out = np.zeros((n, rows.shape[1]))
+        np.add.at(out, idx, rows)
+        return out
 
     @pytest.mark.parametrize("seed", range(30))
     def test_matches_add_at_bytes(self, seed):
@@ -472,32 +496,75 @@ class TestScatterAdd:
         n, h = int(rng.integers(1, 12)), int(rng.integers(1, 9))
         n_edges = int(rng.integers(0, 40))
         idx = rng.integers(0, n, n_edges)  # unsorted, repeated, some nodes without edges
-        if seed % 2:  # a strided column slice, as the backward pass passes in
+        if seed % 2:  # a strided column slice
             rows = rng.normal(size=(n_edges, 3 * h))[:, h : 2 * h]
         else:
             rows = rng.normal(size=(n_edges, h))
-        start = np.zeros((n, h)) if seed % 3 == 0 else rng.normal(size=(n, h))
-        expected = start.copy()
-        np.add.at(expected, idx, rows)
-        got = start.copy()
-        _scatter_add(got, idx, rows)
-        assert got.tobytes() == expected.tobytes()
+        got = _scatter_add(idx, rows, n)
+        assert got.dtype == np.float64 and got.shape == (n, h)
+        assert got.tobytes() == self._add_at(idx, rows, n).tobytes()
 
     def test_no_edges_and_empty_side(self):
         for n, h in ((3, 2), (0, 2)):
-            out = np.arange(n * h, dtype=np.float64).reshape(n, h)
-            before = out.tobytes()
-            _scatter_add(out, np.zeros(0, dtype=np.int64), np.zeros((0, h)))
-            assert out.tobytes() == before
+            got = _scatter_add(np.zeros(0, dtype=np.int64), np.zeros((0, h)), n)
+            assert got.dtype == np.float64
+            assert got.tobytes() == np.zeros((n, h)).tobytes()
 
-    def test_negative_zero_without_edges_becomes_positive_zero(self):
-        # bincount's cells start at +0.0 and +0.0 + -0.0 is +0.0, so a -0.0 cell
-        # that receives no row (or only -0.0 rows) loses its sign; np.add.at keeps it.
-        out = np.array([[-0.0, -0.0], [-0.0, 1.0]])
-        expected = out.copy()
-        idx, rows = np.array([0]), np.array([[2.0, -0.0]])
-        np.add.at(expected, idx, rows)
-        _scatter_add(out, idx, rows)
-        assert np.signbit(expected).tolist() == [[False, True], [True, False]]
-        assert np.signbit(out).tolist() == [[False, False], [False, False]]
-        assert np.array_equal(out, expected)
+    def test_negative_zero_rows_sum_to_positive_zero_as_add_at_does(self):
+        # cells start at +0.0 and +0.0 + -0.0 is +0.0, in np.add.at into zeros as here
+        idx, rows = np.array([0, 1, 1]), np.array([[2.0, -0.0], [-0.0, -0.0], [-0.0, 1.0]])
+        got = _scatter_add(idx, rows, 3)
+        assert not np.signbit(got).any()
+        assert got.tobytes() == self._add_at(idx, rows, 3).tobytes()
+
+
+def random_graph(rng, n_vars, n_cons, n_edges):
+    """Random bipartite graph in unsorted edge order; the last variable and the
+    last constraint get no edges."""
+    cells = rng.choice((n_vars - 1) * (n_cons - 1), size=n_edges, replace=False)
+    return BipartiteGraph(
+        var_feats=rng.uniform(-1, 1, (n_vars, VAR_FEATURE_DIM)),
+        con_feats=rng.uniform(-1, 1, (n_cons, CON_FEATURE_DIM)),
+        edge_con=cells // (n_vars - 1),
+        edge_var=cells % (n_vars - 1),
+        edge_feat=rng.uniform(-1, 1, n_edges),
+        binary_mask=rng.random(n_vars) < 0.8,
+    )
+
+
+class TestProjectThenGather:
+    """The node-projected message layer against the concatenated-edge reference in ``oracles``.
+
+    The two sum in different orders, so they agree to rounding, not bit for bit.
+    """
+
+    CASES = [(h, seed) for h in (8, 16, 64) for seed in range(4)]
+
+    def _batch(self, rng, h, seed):
+        n_vars, n_cons = int(rng.integers(3, 30)), int(rng.integers(2, 20))
+        n_edges = 0 if seed == 0 else int(rng.integers(1, (n_vars - 1) * (n_cons - 1) + 1))
+        graph = random_graph(rng, n_vars, n_cons, n_edges)
+        graph.binary_mask[0] = True
+        k = int(graph.binary_mask.sum())
+        targets = [TargetSolution(rng.integers(0, 2, k).astype(float), w) for w in (0.6, 0.4)]
+        return init_model(hidden_dim=h, seed=seed), [GraphTargets(graph, targets)]
+
+    def _reference(self, monkeypatch, fn):
+        with monkeypatch.context() as patch:
+            patch.setattr(gcnn, "_half_conv", concat_half_conv)
+            patch.setattr(gcnn, "_half_conv_backward", concat_half_conv_backward)
+            return fn()
+
+    @pytest.mark.parametrize("h,seed", CASES)
+    def test_probabilities_and_gradients_match_reference(self, h, seed, monkeypatch):
+        rng = np.random.default_rng(100 * h + seed)
+        model, batch = self._batch(rng, h, seed)
+        graph = batch[0].graph
+        p = forward(model, graph)
+        p_ref = self._reference(monkeypatch, lambda: forward(model, graph))
+        assert np.all(np.abs(p - p_ref) <= 1e-12 * np.abs(p_ref))
+        grads = backward(model, batch)
+        ref = self._reference(monkeypatch, lambda: backward(model, batch))
+        for name, g_ref in ref.items():
+            scale = np.abs(g_ref).max()
+            assert np.abs(grads[name] - g_ref).max() <= 1e-10 * scale, name

@@ -87,6 +87,32 @@ class TestParsing:
             parse_instance(text)
         assert (err.value.line, err.value.column) == (line, column)
 
+    @pytest.mark.parametrize(
+        "text, line, column",
+        [
+            ("VAR x binary 0 1 nan\n", 1, 18),  # objective
+            ("VAR x binary 0 1 1\nCON r le  NaN 0:1\n", 2, 11),  # rhs
+            ("VAR x binary 0 1 1\nCON r le 1 0:nan\n", 2, 12),  # coefficient
+        ],
+    )
+    def test_nan_token_rejected_with_line_and_column(self, text, line, column):
+        with pytest.raises(InstanceFormatError, match="NaN") as err:
+            parse_instance(text)
+        assert (err.value.line, err.value.column) == (line, column)
+
+    @pytest.mark.parametrize(
+        "text, path",
+        [
+            ("VAR x continuous 0 1 inf\n", "vars[0].obj"),
+            ("VAR x binary 0 1 1\nVAR y binary 0 1 1\nCON r le -inf 0:1\n", "constraints[0].rhs"),
+            ("VAR x binary 0 1 1\nVAR y binary 0 1 1\nCON r ge 1 0:1 1:-inf\n", "constraints[0].terms[1]"),
+        ],
+    )
+    def test_infinite_value_rejected_with_field_path(self, text, path):
+        with pytest.raises(InstanceValidationError, match="finite") as err:
+            parse_instance(text)
+        assert err.value.path == path
+
     def test_term_without_colon_rejected(self):
         with pytest.raises(InstanceFormatError):
             parse_instance("VAR x binary 0 1 1\nCON r le 1 0\n")

@@ -1,7 +1,7 @@
 """Same-bytes guard for the solver and GCNN fast paths.
 
 A tiny covering pipeline runs twice: once as shipped, and once with each fast
-path swapped for its slow reference (``np.add.at`` for ``gcnn._scatter_add``,
+path swapped for its slow reference (``np.add.at`` into zeros for ``gcnn._scatter_add``,
 the rescan dive in ``oracles`` for ``bnb._dive_arrays``). Every output file must
 hash the same, so a later speed-up of these paths cannot change the output bytes.
 """
@@ -60,9 +60,11 @@ def test_fast_paths_write_the_same_bytes_as_their_references(tmp_path, monkeypat
 
     calls = {"scatter": 0, "dive": 0}
 
-    def add_at(out, idx, rows):
+    def add_at(idx, rows, n):
         calls["scatter"] += 1
+        out = np.zeros((n, rows.shape[1]))
         np.add.at(out, idx, rows)
+        return out
 
     def rescan(*args):
         calls["dive"] += 1
