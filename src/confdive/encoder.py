@@ -9,6 +9,7 @@ divided by the largest magnitude in its row. Everything lands in [-1, 1].
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -39,6 +40,16 @@ class BipartiteGraph:
     @property
     def n_edges(self) -> int:
         return self.edge_con.shape[0]
+
+    @cached_property
+    def con_degree(self) -> np.ndarray:
+        """Edges per constraint, at least 1: the divisor of a mean message."""
+        return np.maximum(np.bincount(self.edge_con, minlength=self.n_cons), 1)
+
+    @cached_property
+    def var_degree(self) -> np.ndarray:
+        """Edges per variable, at least 1: the divisor of a mean message."""
+        return np.maximum(np.bincount(self.edge_var, minlength=self.n_vars), 1)
 
     @property
     def edges(self) -> list[tuple[int, int, float]]:

@@ -10,10 +10,13 @@ explicit numpy; no autodiff framework.
 
 The message affine projects, then gathers: each side's node embeddings are
 multiplied by their slice of the message weights, and the products are
-gathered per edge, so no edges x (2h+1) input is built. Backward sums the
-per-edge gradient into per-node gradients before its matmuls. Every scatter
-over edges is a zero-start segment sum (``_scatter_add``), one flat
-``np.bincount`` that equals ``np.add.at`` into zeros bit for bit.
+gathered per edge, so no edges x (2h+1) input is built. The forward cache
+keeps only the message ReLU's bool mask, not its E x h pre-activation.
+Backward divides the node-level message gradient by the degree, then gathers
+it per edge, and sums the per-edge gradient into per-node gradients before its
+matmuls. Every scatter over edges is a zero-start segment sum
+(``_scatter_add``), one flat ``np.bincount`` that equals ``np.add.at`` into
+zeros bit for bit. Node degrees are cached on the graph.
 
 Two loss normalizations are provided: the per-graph one (each graph's
 log-likelihood is divided by its own node count before averaging over the
@@ -21,7 +24,9 @@ batch) and the pooled one (a single division by the total node count).
 ``loss_minibatch`` and ``loss_fullbatch`` are the training loss itself: they
 run the same code as ``train``, so they return the values it records, bit for
 bit. Training-target weights may be one scalar per solution or one weight per
-node.
+node. Targets are checked and packed into S x k value and weight matrices once
+per ``train`` call (once per call of the loss and gradient functions), and a
+graph's S per-solution terms are the row sums of one expression.
 """
 
 from __future__ import annotations
@@ -196,21 +201,24 @@ def _half_conv(model: GcnnModel, name: str, graph: BipartiteGraph, h_con, h_var)
     The message affine over [h_con[ci], h_var[vi], edge_feat] is computed as
     "project, then gather": each side's embeddings are multiplied by their
     slice of ``msg.w`` once per node, and the products are gathered per edge.
-    Returns the receiving side's new embeddings and what the backward pass needs.
+    Returns the receiving side's new embeddings and what the backward pass
+    needs, which holds the message ReLU's mask, not the E x h pre-activation.
     """
     msg, upd = getattr(model, f"{name}_msg"), getattr(model, f"{name}_upd")
     h = h_con.shape[1]
     ci, vi = graph.edge_con, graph.edge_var
-    idx, own = (ci, h_con) if name == "v2c" else (vi, h_var)
+    idx, own, deg = (
+        (ci, h_con, graph.con_degree) if name == "v2c" else (vi, h_var, graph.var_degree)
+    )
     z_msg = (h_con @ msg.w[:h])[ci] + (h_var @ msg.w[h : 2 * h])[vi]
     z_msg += graph.edge_feat[:, None] * msg.w[2 * h]
     z_msg += msg.b
-    deg = np.maximum(np.bincount(idx, minlength=own.shape[0]), 1)
-    s = _scatter_add(idx, np.maximum(z_msg, 0.0), own.shape[0])
+    active = z_msg > 0
+    s = _scatter_add(idx, np.maximum(z_msg, 0.0, out=z_msg), own.shape[0])
     s /= deg[:, None]
     u_in = np.concatenate([own, s], axis=1)
     z_upd, h_upd = _affine_relu(u_in, upd)
-    return h_upd, (h_con, h_var, z_msg, deg, u_in, z_upd)
+    return h_upd, (h_con, h_var, active, u_in, z_upd)
 
 
 def _forward_cached(model: GcnnModel, graph: BipartiteGraph) -> dict:
@@ -238,46 +246,67 @@ def forward(model: GcnnModel, graph: BipartiteGraph) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _solution_weight_vector(sol: TargetSolution, n_nodes: int) -> np.ndarray:
-    w = np.asarray(sol.weight, dtype=np.float64)
-    if w.ndim == 0:
-        w = np.full(n_nodes, float(w))
-    if w.shape != (n_nodes,):
-        raise ShapeMismatch(f"weight shape {w.shape} != ({n_nodes},)")
-    if np.any(w < 0):
-        raise ValueError("solution weights must be nonnegative")
-    return w
+@dataclass(eq=False)
+class _PackedTargets:
+    """A :class:`GraphTargets` checked once and stacked: row s is solution s."""
+
+    graph: BipartiteGraph
+    values: np.ndarray  # [S, k] targets, each within 1e-9 of 0 or 1
+    weights: np.ndarray  # [S, k] finite, nonnegative per-node weights
 
 
-def _graph_term(probs: np.ndarray, item: GraphTargets, want_grad: bool):
-    """Weighted log-likelihood of the targets and, optionally, d(term)/d(probs)."""
-    k = probs.shape[0]
-    p = np.clip(probs, PROB_CLAMP, 1.0 - PROB_CLAMP)
-    inside = (probs >= PROB_CLAMP) & (probs <= 1.0 - PROB_CLAMP)
-    log_p, log_q, q = np.log(p), np.log1p(-p), 1.0 - p  # shared by every solution
-    term = 0.0
-    grad = np.zeros(k) if want_grad else None
-    for sol in item.solutions:
+def _pack_targets(item: GraphTargets) -> _PackedTargets:
+    """Check every solution of ``item`` against its graph and stack them."""
+    k = int(item.graph.binary_mask.sum())
+    values = np.empty((len(item.solutions), k))
+    weights = np.empty((len(item.solutions), k))
+    for s, sol in enumerate(item.solutions):
         x = np.asarray(sol.values, dtype=np.float64)
         if x.shape != (k,):
             raise ShapeMismatch(f"target shape {x.shape} != ({k},)")
-        if np.any((np.abs(x) > 1e-9) & (np.abs(x - 1.0) > 1e-9)):
+        if not np.all((np.abs(x) <= 1e-9) | (np.abs(x - 1.0) <= 1e-9)):  # also rejects nan
             raise ValueError("target values must be 0 or 1")
-        w = _solution_weight_vector(sol, k)
-        term += float(np.sum(w * (x * log_p + (1.0 - x) * log_q)))
-        if want_grad:
-            grad += w * (x / p - (1.0 - x) / q) * inside
+        w = np.asarray(sol.weight, dtype=np.float64)
+        if w.ndim and w.shape != (k,):
+            raise ShapeMismatch(f"weight shape {w.shape} != ({k},)")
+        if not np.all(np.isfinite(w) & (w >= 0)):
+            raise ValueError("solution weights must be finite and nonnegative")
+        values[s], weights[s] = x, w
+    return _PackedTargets(item.graph, values, weights)
+
+
+def _pack_batch(batch: TrainingBatch) -> list[_PackedTargets]:
+    return [_pack_targets(item) for item in batch]
+
+
+def _graph_term(probs: np.ndarray, targets: _PackedTargets, want_grad: bool):
+    """Weighted log-likelihood of the targets and, optionally, d(term)/d(probs).
+
+    Solution s contributes the sum of row s of one S x k expression; the rows
+    are added in solution order, so the result does not depend on S.
+    """
+    p = np.clip(probs, PROB_CLAMP, 1.0 - PROB_CLAMP)
+    x, w = targets.values, targets.weights
+    term = 0.0
+    for row_sum in (w * (x * np.log(p) + (1.0 - x) * np.log1p(-p))).sum(axis=1):
+        term += float(row_sum)
+    if not want_grad:
+        return term, None
+    inside = (probs >= PROB_CLAMP) & (probs <= 1.0 - PROB_CLAMP)
+    grad = np.zeros(probs.shape[0])
+    for row in w * (x / p - (1.0 - x) / (1.0 - p)) * inside:
+        grad += row
     return term, grad
 
 
 def loss_minibatch(model: GcnnModel, batch: TrainingBatch) -> float:
     """Average over graphs of (per-graph node-averaged negative log-likelihood)."""
-    return _loss_and_gradients(model, batch, "minibatch", want_grad=False)[0]
+    return _loss_and_gradients(model, _pack_batch(batch), "minibatch", want_grad=False)[0]
 
 
 def loss_fullbatch(model: GcnnModel, batch: TrainingBatch) -> float:
     """Negative log-likelihood normalized once by the total node count."""
-    return _loss_and_gradients(model, batch, "fullbatch", want_grad=False)[0]
+    return _loss_and_gradients(model, _pack_batch(batch), "fullbatch", want_grad=False)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -312,14 +341,13 @@ def _half_conv_backward(
     matmuls run over nodes, not edges. Returns d(loss)/d(h_con) and d(loss)/d(h_var).
     """
     msg, upd = getattr(model, f"{name}_msg"), getattr(model, f"{name}_upd")
-    h_con, h_var, z_msg, deg, u_in, z_upd = saved
+    h_con, h_var, active, u_in, z_upd = saved
     h = g_out.shape[1]
     ci, vi = graph.edge_con, graph.edge_var
-    idx = ci if name == "v2c" else vi
+    idx, deg = (ci, graph.con_degree) if name == "v2c" else (vi, graph.var_degree)
     g_u_in = _affine_relu_backward(f"{name}_upd", u_in, z_upd, g_out, grads) @ upd.w.T
-    g_z = g_u_in[:, h:][idx]
-    g_z /= deg[idx, None]
-    g_z *= z_msg > 0
+    g_z = (g_u_in[:, h:] / deg[:, None])[idx]  # divide per node, then gather per edge
+    g_z *= active
     G_con = _scatter_add(ci, g_z, h_con.shape[0])
     G_var = _scatter_add(vi, g_z, h_var.shape[0])
     g_w = grads[f"{name}_msg.w"]
@@ -357,7 +385,7 @@ def _backward_graph(
 
 
 def _loss_and_gradients(
-    model: GcnnModel, batch: TrainingBatch, loss_mode: str, want_grad: bool = True
+    model: GcnnModel, batch: Sequence[_PackedTargets], loss_mode: str, want_grad: bool = True
 ) -> tuple[float, dict[str, np.ndarray] | None]:
     """The ``loss_mode`` loss of ``batch`` and, if ``want_grad``, its parameter gradients.
 
@@ -372,7 +400,7 @@ def _loss_and_gradients(
     total = 0.0
     for item in batch:
         n_i = int(item.graph.binary_mask.sum())
-        if n_i == 0 or not item.solutions:
+        if n_i == 0 or not len(item.values):
             continue
         cache = _forward_cached(model, item.graph)
         probs = cache["p"][item.graph.binary_mask]
@@ -388,7 +416,7 @@ def backward(
     model: GcnnModel, batch: TrainingBatch, loss_mode: str = "minibatch"
 ) -> dict[str, np.ndarray]:
     """Analytic gradient of the selected loss, keyed like ``named_parameters``."""
-    _, grads = _loss_and_gradients(model, batch, loss_mode)
+    _, grads = _loss_and_gradients(model, _pack_batch(batch), loss_mode)
     return grads
 
 
@@ -403,6 +431,7 @@ def train(
     """SGD with momentum over shuffled batches; returns (trained model, epoch losses)."""
     if not dataset:
         raise ValueError("dataset is empty")
+    packed = _pack_batch(dataset)  # targets never change, so they are checked once
     model = model.copy()
     params = dict(model.named_parameters())
     velocity = {name: np.zeros_like(arr) for name, arr in params.items()}
@@ -412,7 +441,7 @@ def train(
         order = rng.permutation(len(dataset))
         epoch_losses: list[float] = []
         for start in range(0, len(dataset), config.batch_size):
-            batch = [dataset[i] for i in order[start : start + config.batch_size]]
+            batch = [packed[i] for i in order[start : start + config.batch_size]]
             loss, grads = _loss_and_gradients(model, batch, config.loss_mode)
             if not math.isfinite(loss):
                 raise DivergenceDetected(f"loss became {loss}")

@@ -206,14 +206,20 @@ def _dual_pivot_until_feasible(
     """
     if not M.shape[0]:
         return None
-    enterable = nonbasic & (lo < hi)  # a fixed column never enters
+    # toward = sign * s_alpha (negated at the upper bound); a column is a
+    # candidate where toward exceeds its threshold, which is inf where it
+    # may not enter (basic, or fixed)
+    sign = np.where(at_upper, -1.0, 1.0)
+    threshold = np.where(nonbasic & (lo < hi), PIVOT_TOL, np.inf)
     lo_b, hi_b = lo[basis], hi[basis]
+    above, violation = np.empty_like(lo_b), np.empty_like(lo_b)
+    toward = np.empty_like(sign)
     degenerate = 0
     bland = False
     for _ in range(_iteration_limit(M)):
         values = M[:, -1]
-        above = values - hi_b
-        violation = np.maximum(lo_b - values, above)
+        np.subtract(values, hi_b, out=above)
+        np.maximum(np.subtract(lo_b, values, out=violation), above, out=violation)
         p = int(np.argmax(violation))
         if violation[p] <= FEASIBILITY_TOL:
             return None
@@ -223,11 +229,11 @@ def _dual_pivot_until_feasible(
         to_upper = bool(above[p] > 0.0)
         # s_alpha_j > 0: raising x_j moves the leaving value toward the bound it leaves at
         s_alpha = M[p, :-1] if to_upper else -M[p, :-1]
-        toward = np.where(at_upper, -s_alpha, s_alpha)
-        cand = np.flatnonzero(enterable & (toward > PIVOT_TOL))
+        cand = np.flatnonzero(np.multiply(sign, s_alpha, out=toward) > threshold)
         if cand.size == 0:
             return p
-        ratios = np.maximum(costrow[cand] / s_alpha[cand], 0.0)
+        ratios = costrow[cand]
+        np.maximum(np.divide(ratios, s_alpha[cand], out=ratios), 0.0, out=ratios)
         best = ratios.min()
         tied = cand[ratios <= best + 1e-12]
         if bland:
@@ -247,9 +253,11 @@ def _dual_pivot_until_feasible(
         M[:, -1] -= leaving_value * M[:, leaving]
         M[p, -1] += entering_value
         lo_b[p], hi_b[p] = lo[q], hi[q]
-        nonbasic[q] = at_upper[q] = enterable[q] = False
+        nonbasic[q] = at_upper[q] = False
         nonbasic[leaving], at_upper[leaving] = True, to_upper
-        enterable[leaving] = lo[leaving] < hi[leaving]
+        sign[q], sign[leaving] = 1.0, -1.0 if to_upper else 1.0
+        threshold[q] = np.inf
+        threshold[leaving] = PIVOT_TOL if lo[leaving] < hi[leaving] else np.inf
     raise NumericalBreakdown("dual simplex iteration limit exceeded")
 
 
@@ -448,7 +456,7 @@ def _pivot(M: np.ndarray, costrow: np.ndarray, basis: np.ndarray, p: int, q: int
     M[p] /= M[p, q]
     col = M[:, q].copy()
     col[p] = 0.0
-    M -= np.outer(col, M[p])
+    M -= col[:, None] * M[p]
     costrow -= costrow[q] * M[p]
     basis[p] = q
 

@@ -8,9 +8,11 @@ import math
 
 import numpy as np
 
+from confdive import simplex
 from confdive.bnb import INT_TOL
+from confdive.gcnn import PROB_CLAMP, ShapeMismatch
 from confdive.instances import FEAS_TOL, MilpInstance
-from confdive.simplex import _solve_lp_arrays
+from confdive.simplex import FEASIBILITY_TOL, PIVOT_TOL, _solve_lp_arrays
 
 
 def enumerate_binary_optimum(instance: MilpInstance, tol: float = 1e-9):
@@ -199,3 +201,85 @@ def concat_half_conv_backward(model, name: str, graph, saved: tuple, g_out: np.n
     np.add.at(g_var, vi, g_m_in[:, h : 2 * h])
     (g_con if name == "v2c" else g_var)[...] += g_u_in[:, :h]
     return g_con, g_var
+
+
+def per_solution_graph_term(probs: np.ndarray, item, want_grad: bool):
+    """Reference for ``gcnn._graph_term`` on an unpacked ``GraphTargets``: checks
+    and sums one solution at a time, adding each term and gradient in solution order."""
+    k = probs.shape[0]
+    p = np.clip(probs, PROB_CLAMP, 1.0 - PROB_CLAMP)
+    inside = (probs >= PROB_CLAMP) & (probs <= 1.0 - PROB_CLAMP)
+    log_p, log_q, q = np.log(p), np.log1p(-p), 1.0 - p
+    term = 0.0
+    grad = np.zeros(k) if want_grad else None
+    for sol in item.solutions:
+        x = np.asarray(sol.values, dtype=np.float64)
+        if x.shape != (k,):
+            raise ShapeMismatch(f"target shape {x.shape} != ({k},)")
+        if np.any((np.abs(x) > 1e-9) & (np.abs(x - 1.0) > 1e-9)):
+            raise ValueError("target values must be 0 or 1")
+        w = np.asarray(sol.weight, dtype=np.float64)
+        if w.ndim == 0:
+            w = np.full(k, float(w))
+        if w.shape != (k,):
+            raise ShapeMismatch(f"weight shape {w.shape} != ({k},)")
+        if np.any(w < 0):
+            raise ValueError("solution weights must be nonnegative")
+        term += float(np.sum(w * (x * log_p + (1.0 - x) * log_q)))
+        if want_grad:
+            grad += w * (x / p - (1.0 - x) / q) * inside
+    return term, grad
+
+
+def mask_dual_pivot_until_feasible(M, costrow, basis, at_upper, nonbasic, lo, hi):
+    """Reference for ``simplex._dual_pivot_until_feasible``: rebuilds the
+    entering-candidate masks from ``at_upper`` and ``enterable`` at every pivot.
+
+    Reads the pivot, the iteration limit and the degenerate-pivot limit from
+    the ``simplex`` module, so patches of those apply to both loops."""
+    if not M.shape[0]:
+        return None
+    enterable = nonbasic & (lo < hi)
+    lo_b, hi_b = lo[basis], hi[basis]
+    degenerate = 0
+    bland = False
+    for _ in range(simplex._iteration_limit(M)):
+        values = M[:, -1]
+        above = values - hi_b
+        violation = np.maximum(lo_b - values, above)
+        p = int(np.argmax(violation))
+        if violation[p] <= FEASIBILITY_TOL:
+            return None
+        if bland:
+            rows = np.flatnonzero(violation > FEASIBILITY_TOL)
+            p = int(rows[np.argmin(basis[rows])])
+        to_upper = bool(above[p] > 0.0)
+        s_alpha = M[p, :-1] if to_upper else -M[p, :-1]
+        toward = np.where(at_upper, -s_alpha, s_alpha)
+        cand = np.flatnonzero(enterable & (toward > PIVOT_TOL))
+        if cand.size == 0:
+            return p
+        ratios = np.maximum(costrow[cand] / s_alpha[cand], 0.0)
+        best = ratios.min()
+        tied = cand[ratios <= best + 1e-12]
+        if bland:
+            q = int(tied[0])
+        else:
+            q = int(tied[np.argmax(np.abs(s_alpha[tied]))])
+        if best <= 1e-12:
+            degenerate += 1
+            if degenerate >= simplex.DEGENERATE_PIVOT_LIMIT:
+                bland = True
+        else:
+            degenerate = 0
+        leaving = int(basis[p])
+        entering_value = hi[q] if at_upper[q] else lo[q]
+        leaving_value = hi[leaving] if to_upper else lo[leaving]
+        simplex._pivot(M, costrow, basis, p, q)
+        M[:, -1] -= leaving_value * M[:, leaving]
+        M[p, -1] += entering_value
+        lo_b[p], hi_b[p] = lo[q], hi[q]
+        nonbasic[q] = at_upper[q] = enterable[q] = False
+        nonbasic[leaving], at_upper[leaving] = True, to_upper
+        enterable[leaving] = lo[leaving] < hi[leaving]
+    raise simplex.NumericalBreakdown("dual simplex iteration limit exceeded")

@@ -8,7 +8,10 @@ from confdive.bnb import SolutionPool, SolverConfig, solve
 from confdive.encoder import CON_FEATURE_DIM, VAR_FEATURE_DIM, BipartiteGraph, encode
 from confdive.gcnn import (
     DivergenceDetected,
+    _graph_term,
     _loss_and_gradients,
+    _pack_batch,
+    _pack_targets,
     _scatter_add,
     GraphTargets,
     ShapeMismatch,
@@ -26,7 +29,7 @@ from confdive.gcnn import (
 )
 from confdive.instances import Assignment, MilpInstance, VarDef, generate_covering
 
-from oracles import concat_half_conv, concat_half_conv_backward
+from oracles import concat_half_conv, concat_half_conv_backward, per_solution_graph_term
 
 
 def graph_with_binaries(k, seed=0):
@@ -212,13 +215,94 @@ class TestLoss:
                     for _ in range(int(rng.integers(0, 3)))
                 ]
                 batch.append(GraphTargets(graphs[g], sols))
-            assert loss_fn(model, batch) == _loss_and_gradients(model, batch, mode)[0]
+            assert loss_fn(model, batch) == _loss_and_gradients(model, _pack_batch(batch), mode)[0]
 
     def test_loss_nonnegative_and_clamped(self):
         g = graph_with_binaries(3, seed=8)
         model = init_model(seed=9)
         batch = [GraphTargets(g, [TargetSolution(np.array([1.0, 0.0, 1.0]), 1.0)])]
         assert loss_minibatch(model, batch) >= 0.0
+
+
+def targets_only_graph(k):
+    """A graph with k binary variables and no constraints: all that target packing reads."""
+    return BipartiteGraph(
+        var_feats=np.zeros((k, VAR_FEATURE_DIM)),
+        con_feats=np.zeros((0, CON_FEATURE_DIM)),
+        edge_con=np.zeros(0, dtype=np.int64),
+        edge_var=np.zeros(0, dtype=np.int64),
+        edge_feat=np.zeros(0),
+        binary_mask=np.ones(k, dtype=bool),
+    )
+
+
+class TestPackedTargets:
+    @pytest.mark.parametrize("k", [1, 7, 40, 129, 300])
+    @pytest.mark.parametrize("n_solutions", [1, 3, 8])
+    def test_packed_term_matches_per_solution_reference_bit_for_bit(self, k, n_solutions):
+        rng = np.random.default_rng(1000 * k + n_solutions)
+        probs = rng.uniform(0.0, 1.0, k)
+        probs[::5] = 1e-12  # below the clamp
+        probs[2::7] = 1.0 - 1e-13  # above it
+        solutions = []
+        for s in range(n_solutions):
+            x = rng.integers(0, 2, k).astype(float)
+            x[rng.random(k) < 0.1] += 1e-10  # within the 0/1 tolerance
+            weight = rng.random(k) * 3.0 if s % 2 else float(rng.random())
+            solutions.append(TargetSolution(x, weight))
+        item = GraphTargets(targets_only_graph(k), solutions)
+        packed = _pack_targets(item)
+        for want_grad in (False, True):
+            term, grad = _graph_term(probs, packed, want_grad)
+            ref_term, ref_grad = per_solution_graph_term(probs, item, want_grad)
+            assert np.float64(term).tobytes() == np.float64(ref_term).tobytes()
+            if want_grad:
+                assert grad.tobytes() == ref_grad.tobytes()
+            else:
+                assert grad is None and ref_grad is None
+
+
+TARGET_MESSAGE = "target values must be 0 or 1"
+WEIGHT_MESSAGE = "solution weights must be finite and nonnegative"
+BAD_TARGETS = {  # one solution over 4 binaries: (values, weight, error, message)
+    "short target": (np.zeros(3), 1.0, ShapeMismatch, r"target shape \(3,\)"),
+    "weight vector of the wrong shape": (np.zeros(4), np.ones(5), ShapeMismatch, r"weight shape \(5,\)"),
+    "half target": (np.array([0.0, 0.5, 1.0, 0.0]), 1.0, ValueError, TARGET_MESSAGE),
+    "nan target": (np.array([0.0, np.nan, 1.0, 0.0]), 1.0, ValueError, TARGET_MESSAGE),
+    "inf target": (np.array([0.0, np.inf, 1.0, 0.0]), 1.0, ValueError, TARGET_MESSAGE),
+    "negative weight": (np.zeros(4), -0.1, ValueError, WEIGHT_MESSAGE),
+    "nan weight": (np.zeros(4), np.nan, ValueError, WEIGHT_MESSAGE),
+    "inf weight": (np.zeros(4), np.inf, ValueError, WEIGHT_MESSAGE),
+    "nan in a weight vector": (np.zeros(4), np.array([1.0, 1.0, np.nan, 1.0]), ValueError, WEIGHT_MESSAGE),
+}
+
+
+class TestTargetValidation:
+    def _dataset(self, kind):
+        """Two good graphs, then one whose second solution is bad."""
+        values, weight, error, message = BAD_TARGETS[kind]
+        g = graph_with_binaries(4, seed=6)
+        good = GraphTargets(g, [TargetSolution(np.ones(4), 1.0)])
+        bad = GraphTargets(g, [TargetSolution(np.zeros(4), 0.5), TargetSolution(values, weight)])
+        return [good, good, bad], error, message
+
+    @pytest.mark.parametrize("kind", BAD_TARGETS)
+    def test_loss_rejects(self, kind):
+        batch, error, message = self._dataset(kind)
+        with pytest.raises(error, match=message):
+            loss_minibatch(init_model(seed=0), batch)
+
+    @pytest.mark.parametrize("kind", BAD_TARGETS)
+    def test_train_rejects_before_any_step(self, kind, monkeypatch):
+        dataset, error, message = self._dataset(kind)
+        steps = []
+        original = gcnn._loss_and_gradients
+        monkeypatch.setattr(
+            gcnn, "_loss_and_gradients", lambda *args: steps.append(1) or original(*args)
+        )
+        with pytest.raises(error, match=message):
+            train(init_model(seed=0), dataset, TrainConfig(lr=0.1, epochs=2, batch_size=1))
+        assert steps == []
 
 
 class TestBackward:

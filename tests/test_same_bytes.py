@@ -2,8 +2,10 @@
 
 A tiny covering pipeline runs twice: once as shipped, and once with each fast
 path swapped for its slow reference (``np.add.at`` into zeros for ``gcnn._scatter_add``,
-the rescan dive in ``oracles`` for ``bnb._dive_arrays``). Every output file must
-hash the same, so a later speed-up of these paths cannot change the output bytes.
+the rescan dive in ``oracles`` for ``bnb._dive_arrays``, the per-solution loss
+for ``gcnn._graph_term`` and the mask-rebuilding dual loop for
+``simplex._dual_pivot_until_feasible``). Every output file must hash the same,
+so a later speed-up of these paths cannot change the output bytes.
 """
 
 import hashlib
@@ -11,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from confdive import bnb, gcnn
+from confdive import bnb, gcnn, simplex
 from confdive.pipeline import (
     PipelineConfig,
     run_collect,
@@ -21,7 +23,7 @@ from confdive.pipeline import (
     run_train,
 )
 
-from oracles import rescan_dive_arrays
+from oracles import mask_dual_pivot_until_feasible, per_solution_graph_term, rescan_dive_arrays
 
 TINY = dict(
     family="covering",
@@ -58,7 +60,7 @@ def run_pipeline(outdir: Path) -> dict[str, str]:
 def test_fast_paths_write_the_same_bytes_as_their_references(tmp_path, monkeypatch):
     fast = run_pipeline(tmp_path / "fast")
 
-    calls = {"scatter": 0, "dive": 0}
+    calls = {"scatter": 0, "dive": 0, "loss": 0, "dual": 0}
 
     def add_at(idx, rows, n):
         calls["scatter"] += 1
@@ -70,10 +72,23 @@ def test_fast_paths_write_the_same_bytes_as_their_references(tmp_path, monkeypat
         calls["dive"] += 1
         return rescan_dive_arrays(*args)
 
+    def per_solution(probs, packed, want_grad):
+        calls["loss"] += 1
+        solutions = [
+            gcnn.TargetSolution(x, w) for x, w in zip(packed.values, packed.weights)
+        ]
+        return per_solution_graph_term(probs, gcnn.GraphTargets(packed.graph, solutions), want_grad)
+
+    def mask_dual(*args):
+        calls["dual"] += 1
+        return mask_dual_pivot_until_feasible(*args)
+
     monkeypatch.setattr(gcnn, "_scatter_add", add_at)
     monkeypatch.setattr(bnb, "_dive_arrays", rescan)
+    monkeypatch.setattr(gcnn, "_graph_term", per_solution)
+    monkeypatch.setattr(simplex, "_dual_pivot_until_feasible", mask_dual)
     reference = run_pipeline(tmp_path / "reference")
 
-    assert calls["scatter"] > 0 and calls["dive"] > 0
+    assert all(count > 0 for count in calls.values()), calls
     assert len(fast) > 20
     assert fast == reference

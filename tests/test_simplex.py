@@ -13,7 +13,7 @@ from confdive.instances import (
     generate_knapsack,
 )
 from confdive.simplex import NumericalBreakdown, _solve_lp_arrays, solve_lp
-from oracles import enumerate_lp_optimum, random_feasible_lp
+from oracles import enumerate_lp_optimum, mask_dual_pivot_until_feasible, random_feasible_lp
 
 
 def box_lp(c, A, b, lb, ub, name="lp"):
@@ -194,23 +194,35 @@ def test_dual_path_matches_two_phase(monkeypatch):
     assert statuses == {"optimal", "infeasible"}
 
 
-def test_warm_start_after_one_bound_change_matches_cold_start():
-    """Walk down a branch, one fixing per step, each LP warm-started from its parent."""
+def warm_start_chains(count):
+    """Walk down a branch of each seeded LP, one fixing per step: yields
+    (c, A, b, lo, hi, parent basis), the basis None at the root."""
     rng = np.random.default_rng(11)
-    statuses = []
-    for c, A, b, lo, hi in seeded_lps(40):
+    for c, A, b, lo, hi in seeded_lps(count):
         # fixing a covering variable to 0, or a knapsack item to 1, tightens the LP
         value = 0.0 if np.all(b < 0) else 1.0
-        parent = _solve_lp_arrays(c, A, b, lo, hi)
-        while parent.status == "optimal" and np.any(lo < hi):
+        basis = None
+        while True:
+            yield c, A, b, lo, hi, basis
+            res = _solve_lp_arrays(c, A, b, lo, hi, basis=basis)
+            if res.status != "optimal" or not np.any(lo < hi):
+                break
             j = int(rng.choice(np.flatnonzero(lo < hi)))
             lo, hi = lo.copy(), hi.copy()
             lo[j] = hi[j] = value
-            warm = _solve_lp_arrays(c, A, b, lo, hi, basis=parent.basis)
-            assert_same_answer(warm, _solve_lp_arrays(c, A, b, lo, hi))
-            assert_same_answer(warm, simplex._solve_primal(c, A, b, lo, hi))
-            statuses.append(warm.status)
-            parent = warm
+            basis = res.basis
+
+
+def test_warm_start_after_one_bound_change_matches_cold_start():
+    """Each LP down a branch, warm-started from its parent, matches a cold start."""
+    statuses = []
+    for c, A, b, lo, hi, basis in warm_start_chains(40):
+        if basis is None:
+            continue
+        warm = _solve_lp_arrays(c, A, b, lo, hi, basis=basis)
+        assert_same_answer(warm, _solve_lp_arrays(c, A, b, lo, hi))
+        assert_same_answer(warm, simplex._solve_primal(c, A, b, lo, hi))
+        statuses.append(warm.status)
     assert statuses.count("infeasible") >= 10 and statuses.count("optimal") >= 100
 
 
@@ -362,3 +374,54 @@ def test_crossed_bounds_are_infeasible():
     lo[3], hi[3] = 1.0, 0.0
     assert _solve_lp_arrays(c, A, b, lo, hi).status == "infeasible"
     assert simplex._solve_primal(c, A, b, lo, hi).status == "infeasible"
+
+
+# ---------------------------------------------------------------------------
+# Dual pivot loop against its mask-rebuilding reference
+# ---------------------------------------------------------------------------
+
+
+def assert_identical(got, want):
+    assert got.status == want.status
+    assert np.float64(got.objective).tobytes() == np.float64(want.objective).tobytes()
+    assert got.primal_values.tobytes() == want.primal_values.tobytes()
+    assert (got.basis is None) == (want.basis is None)
+    if want.basis is not None:
+        assert got.basis.tobytes() == want.basis.tobytes()
+
+
+def solve_all(lps):
+    return [_solve_lp_arrays(*lp, basis=basis) for *lp, basis in lps]
+
+
+@pytest.mark.parametrize("corpus", ["cold", "warm", "bland"])
+def test_dual_loop_matches_its_reference_bit_for_bit(monkeypatch, corpus):
+    """Same results and the same pivots as the loop that rebuilds its masks at every pivot."""
+    if corpus == "warm":
+        lps = list(warm_start_chains(40))
+    else:
+        lps = [(*lp, None) for lp in seeded_lps(80 if corpus == "cold" else 16)]
+    pivots = count_calls(monkeypatch, "_pivot")
+    if corpus == "bland":
+        solve_all(lps)
+        default_order = [(p, q) for *_, p, q in pivots]
+        pivots.clear()
+        monkeypatch.setattr(simplex, "DEGENERATE_PIVOT_LIMIT", 1)
+    got = solve_all(lps)
+    got_pivots = [(p, q) for *_, p, q in pivots]
+    pivots.clear()
+    calls = []
+
+    def reference(*args):
+        calls.append(1)
+        return mask_dual_pivot_until_feasible(*args)
+
+    monkeypatch.setattr(simplex, "_dual_pivot_until_feasible", reference)
+    want = solve_all(lps)
+    assert len(calls) == len(lps)  # every LP of the corpus takes the dual path
+    for g, w in zip(got, want):
+        assert_identical(g, w)
+    assert got_pivots == [(p, q) for *_, p, q in pivots]
+    assert {r.status for r in want} == {"optimal", "infeasible"}
+    if corpus == "bland":
+        assert got_pivots != default_order  # the smallest-index rule took effect
