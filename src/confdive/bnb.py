@@ -5,7 +5,9 @@ The time axis is a deterministic step clock: one step per processed node
 against that clock so downstream metrics are machine-independent. A
 rounding dive runs at the root, or at every node under aggressive
 heuristic emphasis, and feeds the optional solution pool. Each child
-node's LP is warm-started from its parent's optimal basis.
+node's LP starts dual pivoting from its parent's final tableau
+(``simplex.DualTableau``), so a node factorizes no basis (the simplex
+refactorizes one only every REFACTOR_PIVOTS inherited pivots).
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .instances import (
     parse_solution,
     serialize_solution,
 )
-from .simplex import _solve_lp_arrays, fixed_bounds
+from .simplex import DualTableau, _solve_lp_arrays, fixed_bounds
 
 INT_TOL = 1e-6
 PRUNE_TOL = 1e-9
@@ -120,20 +122,21 @@ def solve(
         if key not in pool:
             pool[key] = (objective, values.copy())
 
-    # heap entries: (parent LP bound, insertion counter, lo, hi, parent's optimal basis)
+    # heap entries: (parent LP bound, insertion counter, lo, hi, parent's final
+    # tableau); the two children of a node share one read-only tableau
     counter = 0
-    heap: list[tuple[float, int, np.ndarray, np.ndarray, np.ndarray | None]] = [
+    heap: list[tuple[float, int, np.ndarray, np.ndarray, DualTableau | None]] = [
         (-math.inf, counter, lo, hi, None)
     ]
     step = 0
     root_infeasible = False
 
     while heap and step < config.step_limit:
-        bound_est, _, lo_n, hi_n, basis = heapq.heappop(heap)
+        bound_est, _, lo_n, hi_n, tableau = heapq.heappop(heap)
         if bound_est >= incumbent_obj - PRUNE_TOL:
             continue  # stale: no strictly better solution under this node
         step += 1
-        res = _solve_lp_arrays(c, A, b, lo_n, hi_n, basis=basis)
+        res = _solve_lp_arrays(c, A, b, lo_n, hi_n, tableau=tableau)
         if res.status == "infeasible":
             if step == 1:
                 root_infeasible = True
@@ -162,9 +165,9 @@ def solve(
             lo_up = lo_n.copy()
             lo_up[j] = math.ceil(v)
             counter += 1
-            heapq.heappush(heap, (node_bound, counter, lo_n, hi_dn, res.basis))
+            heapq.heappush(heap, (node_bound, counter, lo_n, hi_dn, res.tableau))
             counter += 1
-            heapq.heappush(heap, (node_bound, counter, lo_up, hi_n, res.basis))
+            heapq.heappush(heap, (node_bound, counter, lo_up, hi_n, res.tableau))
 
         for obj, vals in candidates:
             pool_add(vals, obj)

@@ -48,6 +48,10 @@ class EvalRow:
     cumulative_reward: float
     first_incumbent_step: int | None
     final_objective: float | None
+    #: Diving rows only: whether the fixed subproblem proved infeasible, and
+    #: the share of variables the threshold fixed.
+    fell_back: bool | None = None
+    coverage: float | None = None
 
 
 def primal_integral(traj: IncumbentTrajectory, cfg: EvalConfig) -> float:
@@ -154,13 +158,18 @@ def compare(
 
 
 def rows_to_csv(rows: Sequence[EvalRow]) -> str:
-    lines = ["instance,method,primal_integral,cumulative_reward,first_incumbent_step,final_objective"]
+    lines = [
+        "instance,method,primal_integral,cumulative_reward,first_incumbent_step,final_objective,"
+        "fell_back,coverage"
+    ]
     for r in rows:
         first = "" if r.first_incumbent_step is None else str(r.first_incumbent_step)
         final = "" if r.final_objective is None else repr(float(r.final_objective))
+        fell_back = "" if r.fell_back is None else str(bool(r.fell_back)).lower()
+        coverage = "" if r.coverage is None else repr(float(r.coverage))
         lines.append(
             f"{r.instance},{r.method},{repr(float(r.primal_integral))},"
-            f"{repr(float(r.cumulative_reward))},{first},{final}"
+            f"{repr(float(r.cumulative_reward))},{first},{final},{fell_back},{coverage}"
         )
     return "\n".join(lines) + "\n"
 

@@ -414,11 +414,11 @@ def read_best_threshold(config: PipelineConfig) -> float:
 
 def _evaluate_one(
     args: tuple[MilpInstance, GcnnModel, float, SolverConfig],
-) -> tuple[IncumbentTrajectory, IncumbentTrajectory, bool]:
+) -> tuple[IncumbentTrajectory, IncumbentTrajectory, tuple[bool, float]]:
     instance, model, threshold, solver_config = args
     plain_traj, _ = bnb.solve(instance, {}, solver_config)
     dive_traj, outcome = dive_and_solve(instance, model, threshold, solver_config)
-    return plain_traj, dive_traj, outcome.fell_back
+    return plain_traj, dive_traj, (outcome.fell_back, outcome.partial.coverage)
 
 
 def run_evaluate(config: PipelineConfig):
@@ -434,10 +434,12 @@ def run_evaluate(config: PipelineConfig):
         [(inst, model, threshold, solver_config) for inst in instances],
         config.jobs,
     )
-    plain, dive, _ = zip(*runs)
+    plain, dive, dive_facts = zip(*runs)
     cfgs = eval_configs(instances, list(zip(plain, dive)), config.step_limit)
     methods = [("plain", plain), (f"diving@t={threshold:g}", dive)]
     rows, summary = compare(instances, methods, cfgs)
+    for row, (fell_back, coverage) in zip(rows[1::2], dive_facts):  # each instance's diving row
+        row.fell_back, row.coverage = fell_back, coverage
     _atomic_write(config.out / "eval.csv", rows_to_csv(rows))
     _atomic_write(config.out / "summary.csv", summary_to_csv(summary))
     if config.svg:

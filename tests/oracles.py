@@ -238,18 +238,18 @@ def mask_dual_pivot_until_feasible(M, costrow, basis, at_upper, nonbasic, lo, hi
     Reads the pivot, the iteration limit and the degenerate-pivot limit from
     the ``simplex`` module, so patches of those apply to both loops."""
     if not M.shape[0]:
-        return None
+        return None, 0
     enterable = nonbasic & (lo < hi)
     lo_b, hi_b = lo[basis], hi[basis]
     degenerate = 0
     bland = False
-    for _ in range(simplex._iteration_limit(M)):
+    for pivots in range(simplex._iteration_limit(M)):
         values = M[:, -1]
         above = values - hi_b
         violation = np.maximum(lo_b - values, above)
         p = int(np.argmax(violation))
         if violation[p] <= FEASIBILITY_TOL:
-            return None
+            return None, pivots
         if bland:
             rows = np.flatnonzero(violation > FEASIBILITY_TOL)
             p = int(rows[np.argmin(basis[rows])])
@@ -258,7 +258,7 @@ def mask_dual_pivot_until_feasible(M, costrow, basis, at_upper, nonbasic, lo, hi
         toward = np.where(at_upper, -s_alpha, s_alpha)
         cand = np.flatnonzero(enterable & (toward > PIVOT_TOL))
         if cand.size == 0:
-            return p
+            return p, pivots
         ratios = np.maximum(costrow[cand] / s_alpha[cand], 0.0)
         best = ratios.min()
         tied = cand[ratios <= best + 1e-12]

@@ -299,12 +299,14 @@ class TestPool:
 
 
 def test_children_warm_start_from_their_parent_basis(monkeypatch):
+    """Every node after the root starts from the final tableau (and so the
+    basis) that its parent's LP result carried, with no factorization."""
     solves = []
     original = bnb._solve_lp_arrays
 
-    def recording(c, A, b, lo, hi, basis=None):
-        res = original(c, A, b, lo, hi, basis=basis)
-        solves.append((lo.copy(), hi.copy(), basis, res))
+    def recording(c, A, b, lo, hi, basis=None, tableau=None):
+        res = original(c, A, b, lo, hi, basis=basis, tableau=tableau)
+        solves.append((lo.copy(), hi.copy(), basis, tableau, res))
         return res
 
     monkeypatch.setattr(bnb, "_solve_lp_arrays", recording)
@@ -312,11 +314,12 @@ def test_children_warm_start_from_their_parent_basis(monkeypatch):
     inst = generate_covering(14, 22, 16)
     traj, _ = solve(inst, {}, SolverConfig(step_limit=40))
     assert len(solves) == traj.terminal_step > 10
-    assert solves[0][2] is None
-    parents = {id(res.basis): (lo, hi) for lo, hi, _, res in solves if res.basis is not None}
-    for lo, hi, basis, _ in solves[1:]:
-        assert basis is not None and id(basis) in parents
-        plo, phi = parents[id(basis)]
+    assert solves[0][3] is None
+    parents = {id(res.tableau): (lo, hi) for lo, hi, _, _, res in solves if res.tableau is not None}
+    for lo, hi, basis, tableau, _ in solves[1:]:
+        assert basis is None  # no factorization of a parent basis
+        assert tableau is not None and id(tableau) in parents
+        plo, phi = parents[id(tableau)]
         assert np.count_nonzero((lo != plo) | (hi != phi)) == 1  # a child differs by one bound
 
 

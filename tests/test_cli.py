@@ -75,6 +75,12 @@ class TestPipelineChain:
         assert "BEST t=" in report
         assert main(["evaluate", "--config", str(cfg), "--svg"]) == 0
         assert (out / "eval.csv").exists() and (out / "summary.csv").exists()
+        header, *rows = [line.split(",") for line in (out / "eval.csv").read_text().splitlines()]
+        assert header[-2:] == ["fell_back", "coverage"] and len(rows) == 4
+        for plain, diving in zip(rows[::2], rows[1::2]):
+            assert plain[1] == "plain" and plain[-2:] == ["", ""]
+            assert diving[1].startswith("diving@t=") and diving[-2] in ("true", "false")
+            assert 0.0 <= float(diving[-1]) <= 1.0
         assert len(list((out / "plots").glob("*.svg"))) == 2
 
     def test_explicit_threshold_skips_gridsearch(self, workdir):

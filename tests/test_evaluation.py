@@ -196,11 +196,14 @@ class TestCompare:
         lines = text.splitlines()
         assert lines[0] == (
             "instance,method,primal_integral,cumulative_reward,"
-            "first_incumbent_step,final_objective"
+            "first_incumbent_step,final_objective,fell_back,coverage"
         )
         fields = lines[1].split(",")
-        assert len(fields) == 6
+        assert len(fields) == 8
         assert float(fields[2]) == -float(fields[3])
+        assert fields[6:] == ["", ""]  # not a diving row
+        rows[0].fell_back, rows[0].coverage = True, 0.25
+        assert rows_to_csv(rows).splitlines()[1].split(",")[6:] == ["true", "0.25"]
         stext = summary_to_csv(summary)
         assert stext.splitlines()[0] == "method,mean_primal_integral,mean_cumulative_reward"
 
@@ -214,7 +217,7 @@ class TestCompare:
         row = make_row("i", "m", traj([], terminal=10), cfg)
         assert row.first_incumbent_step is None and row.final_objective is None
         text = rows_to_csv([row])
-        assert text.splitlines()[1].endswith(",,")
+        assert text.splitlines()[1].endswith(",,,,")
 
 
 class TestPlot:

@@ -195,35 +195,141 @@ def test_dual_path_matches_two_phase(monkeypatch):
 
 
 def warm_start_chains(count):
-    """Walk down a branch of each seeded LP, one fixing per step: yields
-    (c, A, b, lo, hi, parent basis), the basis None at the root."""
+    """Walk down a branch of each seeded LP, one fixing per step, each LP
+    starting from its parent's final tableau: yields (c, A, b, lo, hi, parent
+    basis, parent tableau), both None at the root."""
     rng = np.random.default_rng(11)
     for c, A, b, lo, hi in seeded_lps(count):
         # fixing a covering variable to 0, or a knapsack item to 1, tightens the LP
         value = 0.0 if np.all(b < 0) else 1.0
-        basis = None
+        parent = None
         while True:
-            yield c, A, b, lo, hi, basis
-            res = _solve_lp_arrays(c, A, b, lo, hi, basis=basis)
+            yield c, A, b, lo, hi, parent and parent.basis, parent and parent.tableau
+            res = _solve_lp_arrays(c, A, b, lo, hi, tableau=parent and parent.tableau)
             if res.status != "optimal" or not np.any(lo < hi):
                 break
             j = int(rng.choice(np.flatnonzero(lo < hi)))
             lo, hi = lo.copy(), hi.copy()
             lo[j] = hi[j] = value
-            basis = res.basis
+            parent = res
 
 
 def test_warm_start_after_one_bound_change_matches_cold_start():
-    """Each LP down a branch, warm-started from its parent, matches a cold start."""
+    """Each LP down a branch, started from its parent's basis or from its
+    parent's final tableau, matches a cold start and the primal path."""
     statuses = []
-    for c, A, b, lo, hi, basis in warm_start_chains(40):
+    for c, A, b, lo, hi, basis, tableau in warm_start_chains(40):
         if basis is None:
             continue
-        warm = _solve_lp_arrays(c, A, b, lo, hi, basis=basis)
-        assert_same_answer(warm, _solve_lp_arrays(c, A, b, lo, hi))
-        assert_same_answer(warm, simplex._solve_primal(c, A, b, lo, hi))
-        statuses.append(warm.status)
+        cold = _solve_lp_arrays(c, A, b, lo, hi)
+        primal = simplex._solve_primal(c, A, b, lo, hi)
+        for warm in (_solve_lp_arrays(c, A, b, lo, hi, basis=basis),
+                     _solve_lp_arrays(c, A, b, lo, hi, tableau=tableau)):
+            assert_same_answer(warm, cold)
+            assert_same_answer(warm, primal)
+        statuses.append(cold.status)
     assert statuses.count("infeasible") >= 10 and statuses.count("optimal") >= 100
+
+
+def test_inherited_start_moves_a_nonbasic_column_to_its_new_bound():
+    """A knapsack item that sits nonbasic at its upper bound, fixed to 0: the
+    basic values shift by its column before the dual pivots start."""
+    moved = 0
+    for seed in range(6):
+        c, A, b, lo, hi = lp_arrays(generate_knapsack(600 + seed, 30, 2))
+        parent = _solve_lp_arrays(c, A, b, lo, hi)
+        for j in np.flatnonzero(parent.tableau.at_upper[: c.size]):
+            clo, chi = lo.copy(), hi.copy()
+            clo[j] = chi[j] = 0.0
+            child = _solve_lp_arrays(c, A, b, clo, chi, tableau=parent.tableau)
+            assert_same_answer(child, _solve_lp_arrays(c, A, b, clo, chi))
+            assert_same_answer(child, simplex._solve_primal(c, A, b, clo, chi))
+            moved += 1
+    assert moved >= 20
+
+
+def tableau_bytes(tableau):
+    return [a.tobytes() for a in (tableau.M, tableau.costrow, tableau.basis, tableau.at_upper,
+                                  tableau.lo, tableau.hi)]
+
+
+def test_siblings_solve_the_same_in_either_order_and_leave_the_parent_unchanged():
+    pairs = 0
+    for c, A, b, lo, hi in seeded_lps(24):
+        parent = _solve_lp_arrays(c, A, b, lo, hi)
+        if parent.status != "optimal":
+            continue
+        x = parent.primal_values
+        fractional = np.flatnonzero(np.abs(x - np.round(x)) > 1e-6)
+        if not fractional.size:
+            continue
+        j = int(fractional[0])
+        hi_down, lo_up = hi.copy(), lo.copy()
+        hi_down[j], lo_up[j] = np.floor(x[j]), np.ceil(x[j])
+        children = [(lo, hi_down), (lo_up, hi)]
+        before = tableau_bytes(parent.tableau)
+        down_first = [_solve_lp_arrays(c, A, b, *ch, tableau=parent.tableau) for ch in children]
+        up_first = [_solve_lp_arrays(c, A, b, *ch, tableau=parent.tableau) for ch in children[::-1]]
+        for got, want, child in zip(down_first, up_first[::-1], children):
+            assert_identical(got, want)
+            assert_same_answer(got, simplex._solve_primal(c, A, b, *child))
+        assert tableau_bytes(parent.tableau) == before
+        assert not parent.tableau.M.flags.writeable
+        pairs += 1
+    assert pairs >= 8
+
+
+def test_inherited_chains_match_when_every_tableau_is_refactorized(monkeypatch):
+    monkeypatch.setattr(simplex, "REFACTOR_PIVOTS", 1)
+    factorizations = count_calls(monkeypatch, "_warm_start")
+    pivots = count_calls(monkeypatch, "_pivot")
+    refactorized = 0
+    for c, A, b, lo, hi, _, tableau in warm_start_chains(20):
+        if tableau is None:
+            continue
+        factorizations.clear()
+        pivots.clear()
+        got = _solve_lp_arrays(c, A, b, lo, hi, tableau=tableau)
+        inherited = 0 if factorizations else tableau.pivots
+        assert len(factorizations) == (tableau.pivots >= 1)
+        refactorized += len(factorizations)
+        if got.status == "optimal":
+            assert got.tableau.pivots == inherited + len(pivots)
+        assert_same_answer(got, _solve_lp_arrays(c, A, b, lo, hi))
+        assert_same_answer(got, simplex._solve_primal(c, A, b, lo, hi))
+    assert refactorized >= 100
+
+
+def test_deep_inherited_chain_stays_close_to_a_fresh_factorization(monkeypatch):
+    """Twice as many inherited pivots as REFACTOR_PIVOTS allows, with no
+    refactorization: the primal values still match those of the final basis
+    factorized from the original data."""
+    limit = simplex.REFACTOR_PIVOTS
+    monkeypatch.setattr(simplex, "REFACTOR_PIVOTS", 10**9)
+    c, A, b, lo, hi = lp_arrays(generate_covering(70, 120, 80))
+    m, n = A.shape
+    AI = np.column_stack([A, np.eye(m)])
+    res = _solve_lp_arrays(c, A, b, lo, hi)
+    depth = 0
+    while True:
+        x = res.primal_values
+        frac = np.abs(x - np.round(x))
+        fractional = np.flatnonzero(frac > 1e-6)
+        if not fractional.size:
+            break
+        j = fractional[np.argmax(np.minimum(frac[fractional], 1.0 - frac[fractional]))]
+        lo, hi = lo.copy(), hi.copy()
+        lo[j] = hi[j] = 0.0 if depth % 3 == 0 else 1.0
+        child = _solve_lp_arrays(c, A, b, lo, hi, tableau=res.tableau)
+        if child.status != "optimal":
+            break
+        res, depth = child, depth + 1
+        T = res.tableau
+        full = np.where(T.at_upper, T.hi, T.lo)
+        full[T.basis] = 0.0
+        full[T.basis] = np.linalg.solve(AI[:, T.basis], b - AI @ full)
+        assert np.max(np.abs(np.clip(full[:n], lo, hi) - res.primal_values)) <= 1e-9
+    assert depth >= 40 and res.tableau.pivots >= 2 * limit
 
 
 def test_warm_start_to_infeasible_child():
@@ -348,7 +454,7 @@ def test_iteration_limit_raises(monkeypatch, path):
 
 
 def test_dual_path_row_check_catches_a_bogus_optimum(monkeypatch):
-    monkeypatch.setattr(simplex, "_dual_pivot_until_feasible", lambda *args: None)
+    monkeypatch.setattr(simplex, "_dual_pivot_until_feasible", lambda *args: (None, 0))
     c, A, b, lo, hi = lp_arrays(generate_covering(8, 16, 10))
     with pytest.raises(NumericalBreakdown):
         _solve_lp_arrays(c, A, b, lo, hi)
@@ -390,17 +496,42 @@ def assert_identical(got, want):
         assert got.basis.tobytes() == want.basis.tobytes()
 
 
+def fixed_column_reentry_lp():
+    """A child LP whose ratio test would take a fixed column back into the basis.
+
+    x2 is basic at 1/3 at the root. The child fixes it to 1 and starts from
+    the root's final tableau: x2 leaves at the first pivot, and four pivots
+    later the ratio test would choose its column again, were it not fixed.
+    """
+    c = np.array([1.0, 2.0, 0.0, 0.0, 0.0, 2.0, 1.0])
+    A = np.array([
+        [-2.0, -2.0, -1.0, 3.0, 2.0, -1.0, 1.0],
+        [-1.0, -2.0, -2.0, -3.0, -1.0, 1.0, 1.0],
+        [2.0, 1.0, 0.0, 2.0, 1.0, -2.0, 2.0],
+        [3.0, -2.0, 0.0, 1.0, -1.0, 3.0, -1.0],
+        [1.0, 3.0, 1.0, -1.0, -3.0, -2.0, 1.0],
+    ])
+    b = np.array([0.0, -1.0, 4.0, 3.0, 2.0])
+    lo, hi = np.zeros(7), np.array([1.0, 1.0, 2.0, 1.0, 1.0, 2.0, 1.0])
+    root = _solve_lp_arrays(c, A, b, lo, hi)
+    assert list(root.basis) == [2, 3, 9, 10, 11]
+    lo, hi = lo.copy(), hi.copy()
+    lo[2] = hi[2] = 1.0
+    return c, A, b, lo, hi, None, root.tableau
+
+
 def solve_all(lps):
-    return [_solve_lp_arrays(*lp, basis=basis) for *lp, basis in lps]
+    return [_solve_lp_arrays(*lp, basis=basis, tableau=tableau) for *lp, basis, tableau in lps]
 
 
 @pytest.mark.parametrize("corpus", ["cold", "warm", "bland"])
 def test_dual_loop_matches_its_reference_bit_for_bit(monkeypatch, corpus):
     """Same results and the same pivots as the loop that rebuilds its masks at every pivot."""
     if corpus == "warm":
-        lps = list(warm_start_chains(40))
+        lps = [(*lp, None, tableau) for *lp, _, tableau in warm_start_chains(40)]
+        lps.append(fixed_column_reentry_lp())
     else:
-        lps = [(*lp, None) for lp in seeded_lps(80 if corpus == "cold" else 16)]
+        lps = [(*lp, None, None) for lp in seeded_lps(80 if corpus == "cold" else 16)]
     pivots = count_calls(monkeypatch, "_pivot")
     if corpus == "bland":
         solve_all(lps)
