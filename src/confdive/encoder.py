@@ -1,7 +1,8 @@
 """Instance -> bipartite variable/constraint graph with normalized features.
 
 Variable features: [objective / max|c|, is_binary, lb / B, ub / B, root LP
-value / B] where B is the largest finite bound magnitude (guarded). Constraint
+value / B] where B is the largest finite bound magnitude (guarded); the root
+LP value is 0 when the root LP is not optimal. Constraint
 features: [rhs / max(|b|, 1), row degree / n]. Edge feature: coefficient
 divided by the largest magnitude in its row. Everything lands in [-1, 1].
 """
@@ -59,7 +60,7 @@ class BipartiteGraph:
         ]
 
 
-def encode(instance: MilpInstance, include_root_lp: bool = True) -> BipartiteGraph:
+def encode(instance: MilpInstance) -> BipartiteGraph:
     """Deterministic feature encoding; one edge per nonzero coefficient."""
     n, m = instance.n, instance.m
     c = instance.objective_vector()
@@ -70,11 +71,8 @@ def encode(instance: MilpInstance, include_root_lp: bool = True) -> BipartiteGra
     finite_bounds = np.abs(np.concatenate([lb[np.isfinite(lb)], ub[np.isfinite(ub)]]))
     b_denom_bounds = max(float(finite_bounds.max()) if finite_bounds.size else 0.0, 1e-12)
 
-    root_vals = np.zeros(n)
-    if include_root_lp:
-        res = solve_lp(instance)
-        if res.status == "optimal":
-            root_vals = res.primal_values
+    res = solve_lp(instance)
+    root_vals = res.primal_values if res.status == "optimal" else np.zeros(n)
 
     var_feats = np.zeros((n, VAR_FEATURE_DIM))
     var_feats[:, 0] = c / c_denom

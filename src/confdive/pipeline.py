@@ -80,7 +80,6 @@ class PipelineConfig:
     loss_mode: str = "minibatch"
     temperature: float = 1.0
     uniform_weights: bool = False
-    include_root_lp: bool = True
     # diving / evaluation
     grid: tuple[float, ...] = DEFAULT_GRID
     step_limit: int = 150
@@ -320,7 +319,7 @@ def build_dataset(config: PipelineConfig) -> list[GraphTargets]:
         pool = bnb.parse_pool(pool_path.read_text(), instance)
         if not pool.entries:
             continue
-        graph = encode(instance, include_root_lp=config.include_root_lp)
+        graph = encode(instance)
         weights = compute_solution_weights(
             pool, temperature=config.temperature, uniform=config.uniform_weights
         )

@@ -12,7 +12,8 @@ Two paths share one tableau pivot, ``_pivot``:
   feasible after any bound change: each solve returns that tableau
   (``DualTableau``), and branch and bound starts each child from a copy of
   its parent's, with no factorization. Every REFACTOR_PIVOTS inherited
-  pivots the tableau is rebuilt from its basis instead. The leaving row is
+  pivots the tableau is rebuilt from its basis instead; that is the only
+  factorization, since no other basis is ever handed in. The leaving row is
   the one with the largest bound violation.
 - A two-phase primal simplex with Dantzig pricing for the rest (free
   variables, or a cost that pushes a variable toward an infinite bound).
@@ -87,11 +88,6 @@ class LpResult:
     #: Final state of the dual path, from which a child LP can start.
     tableau: DualTableau | None = None
 
-    @property
-    def basis(self) -> np.ndarray | None:
-        """Optimal basis of the dual path: m column indices into ``[A | I]``."""
-        return None if self.tableau is None else self.tableau.basis
-
 
 def fixed_bounds(
     instance: MilpInstance, fixings: Mapping[int, float] | None
@@ -102,7 +98,7 @@ def fixed_bounds(
         if not 0 <= j < instance.n:
             raise ValueError(f"fixing index {j} out of range")
         v = float(v)
-        if v < lo[j] - 1e-9 or v > hi[j] + 1e-9:
+        if not np.isfinite(v) or v < lo[j] - 1e-9 or v > hi[j] + 1e-9:
             raise ValueError(
                 f"fixing {v} for variable {j} lies outside its bounds [{lo[j]}, {hi[j]}]"
             )
@@ -124,7 +120,6 @@ def _solve_lp_arrays(
     b: np.ndarray,
     lo: np.ndarray,
     hi: np.ndarray,
-    basis: np.ndarray | None = None,
     tableau: DualTableau | None = None,
 ) -> LpResult:
     """min c.x s.t. A x <= b, lo <= x <= hi.
@@ -132,13 +127,13 @@ def _solve_lp_arrays(
     ``tableau`` (the ``LpResult.tableau`` of an LP over the same ``c``, ``A``
     and ``b``) starts the dual path from a copy of that final tableau, under
     the new bounds and with no factorization; once it has inherited
-    REFACTOR_PIVOTS pivots, its basis is factorized instead. ``basis`` (m
-    column indices into ``[A | I]``, as returned in ``LpResult.basis``)
-    warm-starts the dual path by a factorization. A singular or stale basis is
-    replaced by the slack basis. The primal path ignores both.
+    REFACTOR_PIVOTS pivots, its basis is factorized instead, and a singular
+    or no longer dual feasible basis is replaced by the slack basis. Without
+    a tableau the dual path starts from the slack basis. The primal path
+    ignores the tableau.
     """
     if _dual_applies(c, lo, hi):
-        return _solve_dual(c, A, b, lo, hi, basis, tableau)
+        return _solve_dual(c, A, b, lo, hi, tableau)
     return _solve_primal(c, A, b, lo, hi)
 
 
@@ -153,7 +148,6 @@ def _solve_dual(
     b: np.ndarray,
     lo: np.ndarray,
     hi: np.ndarray,
-    basis: np.ndarray | None,
     tableau: DualTableau | None = None,
 ) -> LpResult:
     m, n = A.shape
@@ -163,13 +157,11 @@ def _solve_dual(
     lo_f = np.concatenate([lo, np.zeros(m)])
     hi_f = np.concatenate([hi, np.full(m, np.inf)])
     start = None
-    if tableau is not None:
-        if tableau.pivots < REFACTOR_PIVOTS:
-            start = _inherit(tableau, lo_f, hi_f)
-        basis = tableau.basis  # factorized when the tableau is not inherited
+    if tableau is not None and tableau.pivots < REFACTOR_PIVOTS:
+        start = _inherit(tableau, lo_f, hi_f)
     inherited = 0 if start is None else tableau.pivots
-    if start is None:
-        start = _factorized_start(c, A, b, lo_f, hi_f, basis)
+    if start is None:  # factorize the tableau's basis, if there is one
+        start = _factorized_start(c, A, b, lo_f, hi_f, None if tableau is None else tableau.basis)
     M, costrow, basis, at_upper = start
     nonbasic = np.ones(n + m, dtype=bool)
     nonbasic[basis] = False
@@ -252,26 +244,19 @@ def _at_upper(d: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray | Non
 def _warm_start(
     K: np.ndarray, c_f: np.ndarray, lo_f: np.ndarray, hi_f: np.ndarray, basis: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
-    """Tableau, cost row, basis and bound positions for ``basis``; None if unusable.
+    """Tableau, cost row, basis and bound positions for ``basis``, the basis of
+    a ``DualTableau``; None if it is singular, ill-conditioned or not dual feasible.
 
     ``K`` is ``[A | I | b]``; ``c_f``, ``lo_f`` and ``hi_f`` cover its columns.
     """
     m = K.shape[0]
-    basis = np.asarray(basis)
-    if (
-        basis.shape != (m,)
-        or not np.issubdtype(basis.dtype, np.integer)
-        or (m and (basis.min() < 0 or basis.max() >= K.shape[1] - 1))
-        or np.unique(basis).size != m
-    ):
-        return None
     try:
         M = np.linalg.solve(K[:, basis], K)
     except np.linalg.LinAlgError:
         return None
     if not np.all(np.abs(M[:, :-1]) <= WARM_START_GROWTH_LIMIT):  # also rejects nan
         return None
-    basis = basis.astype(np.int64)
+    basis = basis.copy()  # a tableau's basis is read-only, and the pivots write to it
     M[:, basis] = np.eye(m)
     costrow = np.append(c_f, 0.0) - c_f[basis] @ M
     costrow[basis] = 0.0

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from confdive import bnb
+from confdive import bnb, simplex
 from confdive.bnb import (
     InfeasibleSubproblem,
     SolverConfig,
@@ -58,8 +58,9 @@ def test_fixings_validated():
         solve(inst, {1: 1}, BIG)  # continuous variable
     with pytest.raises(ValueError, match="must be 0 or 1"):
         solve(inst, {0: 0.5}, BIG)  # not a 0/1 value
-    with pytest.raises(ValueError, match="outside its bounds"):
-        solve(inst, {0: 2}, BIG)  # the shared bounds check rejects it first
+    for value in (2, float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match="outside its bounds"):
+            solve(inst, {0: value}, BIG)  # the shared bounds check rejects it first
     with pytest.raises(ValueError, match="out of range"):
         solve(inst, {2: 1}, BIG)
 
@@ -304,9 +305,9 @@ def test_children_warm_start_from_their_parent_basis(monkeypatch):
     solves = []
     original = bnb._solve_lp_arrays
 
-    def recording(c, A, b, lo, hi, basis=None, tableau=None):
-        res = original(c, A, b, lo, hi, basis=basis, tableau=tableau)
-        solves.append((lo.copy(), hi.copy(), basis, tableau, res))
+    def recording(c, A, b, lo, hi, tableau=None):
+        res = original(c, A, b, lo, hi, tableau=tableau)
+        solves.append((lo.copy(), hi.copy(), tableau, res))
         return res
 
     monkeypatch.setattr(bnb, "_solve_lp_arrays", recording)
@@ -314,11 +315,11 @@ def test_children_warm_start_from_their_parent_basis(monkeypatch):
     inst = generate_covering(14, 22, 16)
     traj, _ = solve(inst, {}, SolverConfig(step_limit=40))
     assert len(solves) == traj.terminal_step > 10
-    assert solves[0][3] is None
-    parents = {id(res.tableau): (lo, hi) for lo, hi, _, _, res in solves if res.tableau is not None}
-    for lo, hi, basis, tableau, _ in solves[1:]:
-        assert basis is None  # no factorization of a parent basis
+    assert solves[0][2] is None
+    parents = {id(res.tableau): (lo, hi) for lo, hi, _, res in solves if res.tableau is not None}
+    for lo, hi, tableau, _ in solves[1:]:
         assert tableau is not None and id(tableau) in parents
+        assert tableau.pivots < simplex.REFACTOR_PIVOTS  # inherited, not factorized
         plo, phi = parents[id(tableau)]
         assert np.count_nonzero((lo != plo) | (hi != phi)) == 1  # a child differs by one bound
 

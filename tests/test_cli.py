@@ -121,10 +121,12 @@ class TestExitCodes:
         assert main(["generate", "--config", str(cfg), "--bogus"]) == 1
 
     def test_unknown_config_key(self, tmp_path, capsys):
-        cfg = tmp_path / "c.cfg"
-        cfg.write_text("nonsense_key=1\n")
-        assert main(["generate", "--config", str(cfg)]) == 1
-        assert "nonsense_key" in capsys.readouterr().err
+        # a deleted key is rejected, not ignored
+        for key, value in (("nonsense_key", "1"), ("include_root_lp", "false")):
+            cfg = tmp_path / "c.cfg"
+            cfg.write_text(f"{key}={value}\n")
+            assert main(["generate", "--config", str(cfg)]) == 1
+            assert f"unknown config key {key!r}" in capsys.readouterr().err
 
     def test_missing_config_file(self, tmp_path):
         assert main(["generate", "--config", str(tmp_path / "nope.cfg")]) == 1
@@ -177,7 +179,7 @@ class TestConfigText:
             n_items=11, n_dims=3, seed=7, collect_step_limit=70, collect_emphasis="off",
             pool_size=4, hidden_dim=6, lr=0.25, momentum=0.5, epochs=2, batch_size=3,
             loss_mode="fullbatch", temperature=0.75, uniform_weights=True,
-            include_root_lp=False, grid=(0.6, 0.95), step_limit=80, emphasis="aggressive",
+            grid=(0.6, 0.95), step_limit=80, emphasis="aggressive",
             threshold=0.85, svg=True, jobs=2, outdir=str(tmp_path / "o"),
         )
         values = {f.name: getattr(expected, f.name) for f in fields(PipelineConfig)}

@@ -11,6 +11,7 @@ from confdive.instances import (
     parse_instance,
     serialize_instance,
 )
+from confdive.simplex import solve_lp
 
 
 def test_degenerate_graph():
@@ -97,12 +98,24 @@ def test_permutation_equivariance(seed):
 
 
 def test_root_lp_feature_flag():
-    inst = generate_covering(8, 10, 5)
-    with_lp = encode(inst, include_root_lp=True)
-    without = encode(inst, include_root_lp=False)
-    assert np.all(without.var_feats[:, 4] == 0.0)
-    assert np.any(with_lp.var_feats[:, 4] != 0.0)
-    assert np.array_equal(with_lp.var_feats[:, :4], without.var_feats[:, :4])
+    """Column 4 is the root LP value scaled by the largest bound, and 0 when
+    the root LP is infeasible."""
+    for inst in (generate_covering(8, 10, 5), generate_knapsack(8, 10, 2),
+                 MilpInstance("int", (VarDef("x", "integer", 0, 4, -1.0),),
+                              (ConstraintDef("r", ((0, 2.0),), 5.0),))):
+        res = solve_lp(inst)
+        assert res.status == "optimal"
+        lb, ub = inst.bounds_arrays()
+        expected = np.clip(res.primal_values / max(np.max(np.abs(np.r_[lb, ub])), 1e-12), -1.0, 1.0)
+        col = encode(inst).var_feats[:, 4]
+        assert np.array_equal(col, expected) and np.any(col != 0.0)
+    infeasible = MilpInstance(
+        "cover",
+        (VarDef("x0", "binary", 0, 1, 1.0), VarDef("x1", "binary", 0, 1, 1.0)),
+        (ConstraintDef("r", ((0, -1.0), (1, -1.0)), -3.0),),
+    )
+    assert solve_lp(infeasible).status == "infeasible"
+    assert np.all(encode(infeasible).var_feats[:, 4] == 0.0)
 
 
 def test_csv_dump_shapes():

@@ -102,7 +102,7 @@ class TestForward:
         for seed in range(1000):
             n = 4 + seed % 9
             inst = generate_covering(seed, n, min(2 + seed % 4, n))
-            g = encode(inst, include_root_lp=False)
+            g = encode(inst)
             model = init_model(hidden_dim=4, seed=seed % 17)
             p = forward(model, g)
             assert np.all(p > 0.0) and np.all(p < 1.0)

@@ -46,8 +46,12 @@ def test_fixing_forces_vertex():
 
 def test_fixing_outside_bounds_rejected():
     inst = box_lp(np.array([1.0]), np.zeros((0, 1)), np.zeros(0), np.zeros(1), np.ones(1))
-    with pytest.raises(ValueError):
-        solve_lp(inst, {0: 2.0})
+    free = box_lp(np.array([1.0]), np.zeros((0, 1)), np.zeros(0), np.full(1, -np.inf),
+                  np.full(1, np.inf))
+    for lp, value in ((inst, 2.0), (inst, np.nan), (free, np.nan), (free, np.inf),
+                      (free, -np.inf)):
+        with pytest.raises(ValueError, match="outside its bounds"):
+            solve_lp(lp, {0: value})
 
 
 def test_unbounded_reported():
@@ -164,7 +168,7 @@ def assert_same_answer(got, want):
 
 def solve_on(path, c, A, b, lo, hi):
     if path == "dual":
-        return simplex._solve_dual(c, A, b, lo, hi, None)
+        return simplex._solve_dual(c, A, b, lo, hi)
     return simplex._solve_primal(c, A, b, lo, hi)
 
 
@@ -187,24 +191,32 @@ def test_dual_path_matches_two_phase(monkeypatch):
         dual = _solve_lp_arrays(c, A, b, lo, hi)
         assert not two_phase, "a binary LP left the dual path"
         if dual.status == "optimal":
-            assert dual.basis.shape == (A.shape[0],)
+            assert dual.tableau.basis.shape == (A.shape[0],)
         assert_same_answer(dual, simplex._solve_primal(c, A, b, lo, hi))
         two_phase.clear()
         statuses.add(dual.status)
     assert statuses == {"optimal", "infeasible"}
 
 
+def refactorizing(basis):
+    """A tableau that has taken REFACTOR_PIVOTS pivots: a solve from it reads
+    only ``basis``, which it factorizes."""
+    unread = np.zeros(0)
+    return simplex.DualTableau(M=unread, costrow=unread, basis=np.array(basis), at_upper=unread,
+                               lo=unread, hi=unread, pivots=simplex.REFACTOR_PIVOTS)
+
+
 def warm_start_chains(count):
     """Walk down a branch of each seeded LP, one fixing per step, each LP
     starting from its parent's final tableau: yields (c, A, b, lo, hi, parent
-    basis, parent tableau), both None at the root."""
+    tableau), the tableau None at the root."""
     rng = np.random.default_rng(11)
     for c, A, b, lo, hi in seeded_lps(count):
         # fixing a covering variable to 0, or a knapsack item to 1, tightens the LP
         value = 0.0 if np.all(b < 0) else 1.0
         parent = None
         while True:
-            yield c, A, b, lo, hi, parent and parent.basis, parent and parent.tableau
+            yield c, A, b, lo, hi, parent and parent.tableau
             res = _solve_lp_arrays(c, A, b, lo, hi, tableau=parent and parent.tableau)
             if res.status != "optimal" or not np.any(lo < hi):
                 break
@@ -215,16 +227,16 @@ def warm_start_chains(count):
 
 
 def test_warm_start_after_one_bound_change_matches_cold_start():
-    """Each LP down a branch, started from its parent's basis or from its
-    parent's final tableau, matches a cold start and the primal path."""
+    """Each LP down a branch, started from its parent's factorized basis or
+    from its parent's final tableau, matches a cold start and the primal path."""
     statuses = []
-    for c, A, b, lo, hi, basis, tableau in warm_start_chains(40):
-        if basis is None:
+    for c, A, b, lo, hi, tableau in warm_start_chains(40):
+        if tableau is None:
             continue
         cold = _solve_lp_arrays(c, A, b, lo, hi)
         primal = simplex._solve_primal(c, A, b, lo, hi)
-        for warm in (_solve_lp_arrays(c, A, b, lo, hi, basis=basis),
-                     _solve_lp_arrays(c, A, b, lo, hi, tableau=tableau)):
+        for start in (refactorizing(tableau.basis), tableau):
+            warm = _solve_lp_arrays(c, A, b, lo, hi, tableau=start)
             assert_same_answer(warm, cold)
             assert_same_answer(warm, primal)
         statuses.append(cold.status)
@@ -284,7 +296,7 @@ def test_inherited_chains_match_when_every_tableau_is_refactorized(monkeypatch):
     factorizations = count_calls(monkeypatch, "_warm_start")
     pivots = count_calls(monkeypatch, "_pivot")
     refactorized = 0
-    for c, A, b, lo, hi, _, tableau in warm_start_chains(20):
+    for c, A, b, lo, hi, tableau in warm_start_chains(20):
         if tableau is None:
             continue
         factorizations.clear()
@@ -344,32 +356,34 @@ def test_warm_start_to_infeasible_child():
     assert parent.objective == pytest.approx(1.0)
     lo[0] = hi[0] = 0.0
     hi[1] = 0.0
-    child = _solve_lp_arrays(c, A, b, lo, hi, basis=parent.basis)
-    assert child.status == "infeasible" and child.basis is None
+    child = _solve_lp_arrays(c, A, b, lo, hi, tableau=refactorizing(parent.tableau.basis))
+    assert child.status == "infeasible" and child.tableau is None
 
 
-@pytest.mark.parametrize("bad", ["duplicate", "short", "out_of_range", "float", "singular"])
+@pytest.mark.parametrize("bad", ["singular", "near_singular"])
 def test_unusable_basis_falls_back_to_slack_start(bad):
     inst = generate_covering(3, 10, 6)
     c, A, b, lo, hi = lp_arrays(inst)
     m, n = A.shape
-    A = np.column_stack([A, A[:, 0]])  # a duplicate column makes a singular basis possible
+    # a copy of column 0 makes a singular basis possible; nudged by 1e-12 in
+    # row 1 (A[0, 0] is nonzero), it makes one that factorizes with entries near 1e12
+    copy = A[:, 0].copy()
+    if bad == "near_singular":
+        copy[1] += 1e-12
+    A = np.column_stack([A, copy])
     c, lo, hi = np.append(c, c[0]), np.append(lo, 0.0), np.append(hi, 1.0)
     n += 1
     slack = np.arange(n, n + m)
-    basis = {
-        "duplicate": np.full(m, n),
-        "short": slack[:-1],
-        "out_of_range": slack + 1,
-        "float": slack.astype(float),
-        "singular": np.concatenate([[0, n - 1], slack[2:]]),
-    }[bad]
+    basis = np.concatenate([[0, n - 1], slack[2:]])
     K = np.column_stack([A, np.eye(m), b])
     c_f = np.concatenate([c, np.zeros(m)])
     lo_f, hi_f = np.concatenate([lo, np.zeros(m)]), np.concatenate([hi, np.full(m, np.inf)])
+    if bad == "near_singular":
+        growth = np.max(np.abs(np.linalg.solve(K[:, basis], K)))
+        assert growth > simplex.WARM_START_GROWTH_LIMIT
     assert simplex._warm_start(K, c_f, lo_f, hi_f, basis) is None
     cold = _solve_lp_arrays(c, A, b, lo, hi)
-    warm = _solve_lp_arrays(c, A, b, lo, hi, basis=basis)
+    warm = _solve_lp_arrays(c, A, b, lo, hi, tableau=refactorizing(basis))
     assert warm.status == cold.status == "optimal"
     assert warm.objective == cold.objective
     assert np.array_equal(warm.primal_values, cold.primal_values)
@@ -388,15 +402,15 @@ def test_dual_infeasible_basis_falls_back_to_slack_start():
     c_f, lo_f, hi_f = np.append(c, 0.0), np.append(lo, 0.0), np.append(hi, np.inf)
     assert simplex._warm_start(K, c_f, lo_f, hi_f, np.array([0])) is None
     assert simplex._warm_start(K, c_f, lo_f, hi_f, np.array([2])) is not None
-    res = _solve_lp_arrays(c, A, b, lo, hi, basis=np.array([0]))
-    assert res.status == "optimal" and res.objective == 0.0 and list(res.basis) == [2]
+    res = _solve_lp_arrays(c, A, b, lo, hi, tableau=refactorizing([0]))
+    assert res.status == "optimal" and res.objective == 0.0 and list(res.tableau.basis) == [2]
 
 
 def test_optimal_basis_restarts_without_pivots(monkeypatch):
     c, A, b, lo, hi = lp_arrays(generate_covering(4, 20, 12))
     first = _solve_lp_arrays(c, A, b, lo, hi)
     pivots = count_calls(monkeypatch, "_pivot")
-    again = _solve_lp_arrays(c, A, b, lo, hi, basis=first.basis)
+    again = _solve_lp_arrays(c, A, b, lo, hi, tableau=refactorizing(first.tableau.basis))
     assert pivots == []
     assert again.objective == pytest.approx(first.objective, abs=1e-9)
 
@@ -412,8 +426,8 @@ def test_unbounded_directions_take_the_primal_path(monkeypatch, kind):
     )
     two_phase = count_calls(monkeypatch, "_two_phase")
     c, A, b, lo, hi = lp_arrays(inst)
-    res = _solve_lp_arrays(c, A, b, lo, hi, basis=np.arange(2, 4))
-    assert len(two_phase) == 1 and res.basis is None
+    res = _solve_lp_arrays(c, A, b, lo, hi, tableau=refactorizing(np.arange(2, 4)))
+    assert len(two_phase) == 1 and res.tableau is None
     assert res.status == "optimal"
     assert res.objective == pytest.approx(-5.0 if kind == "free" else -7.0, abs=1e-9)
 
@@ -491,9 +505,9 @@ def assert_identical(got, want):
     assert got.status == want.status
     assert np.float64(got.objective).tobytes() == np.float64(want.objective).tobytes()
     assert got.primal_values.tobytes() == want.primal_values.tobytes()
-    assert (got.basis is None) == (want.basis is None)
-    if want.basis is not None:
-        assert got.basis.tobytes() == want.basis.tobytes()
+    assert (got.tableau is None) == (want.tableau is None)
+    if want.tableau is not None:
+        assert got.tableau.basis.tobytes() == want.tableau.basis.tobytes()
 
 
 def fixed_column_reentry_lp():
@@ -514,24 +528,24 @@ def fixed_column_reentry_lp():
     b = np.array([0.0, -1.0, 4.0, 3.0, 2.0])
     lo, hi = np.zeros(7), np.array([1.0, 1.0, 2.0, 1.0, 1.0, 2.0, 1.0])
     root = _solve_lp_arrays(c, A, b, lo, hi)
-    assert list(root.basis) == [2, 3, 9, 10, 11]
+    assert list(root.tableau.basis) == [2, 3, 9, 10, 11]
     lo, hi = lo.copy(), hi.copy()
     lo[2] = hi[2] = 1.0
-    return c, A, b, lo, hi, None, root.tableau
+    return c, A, b, lo, hi, root.tableau
 
 
 def solve_all(lps):
-    return [_solve_lp_arrays(*lp, basis=basis, tableau=tableau) for *lp, basis, tableau in lps]
+    return [_solve_lp_arrays(*lp, tableau=tableau) for *lp, tableau in lps]
 
 
 @pytest.mark.parametrize("corpus", ["cold", "warm", "bland"])
 def test_dual_loop_matches_its_reference_bit_for_bit(monkeypatch, corpus):
     """Same results and the same pivots as the loop that rebuilds its masks at every pivot."""
     if corpus == "warm":
-        lps = [(*lp, None, tableau) for *lp, _, tableau in warm_start_chains(40)]
+        lps = list(warm_start_chains(40))
         lps.append(fixed_column_reentry_lp())
     else:
-        lps = [(*lp, None, None) for lp in seeded_lps(80 if corpus == "cold" else 16)]
+        lps = [(*lp, None) for lp in seeded_lps(80 if corpus == "cold" else 16)]
     pivots = count_calls(monkeypatch, "_pivot")
     if corpus == "bland":
         solve_all(lps)
