@@ -11,7 +11,6 @@ from .bnb import (
     InfeasibleSubproblem,
     SolutionPool,
     SolverConfig,
-    dive_heuristic,
     parse_pool,
     serialize_pool,
     solve,

@@ -129,7 +129,6 @@ def solve(
         (-math.inf, counter, lo, hi, None)
     ]
     step = 0
-    root_infeasible = False
 
     while heap and step < config.step_limit:
         bound_est, _, lo_n, hi_n, tableau = heapq.heappop(heap)
@@ -138,8 +137,6 @@ def solve(
         step += 1
         res = _solve_lp_arrays(c, A, b, lo_n, hi_n, tableau=tableau)
         if res.status == "infeasible":
-            if step == 1:
-                root_infeasible = True
             continue
         node_bound = res.objective if res.status == "optimal" else -math.inf
         if node_bound >= incumbent_obj - PRUNE_TOL:
@@ -178,7 +175,7 @@ def solve(
                 incumbent_vals = best_vals
                 events.append(TrajectoryEvent(step, best_obj, best_vals.copy()))
 
-    if incumbent_vals is None and (root_infeasible or not heap):
+    if incumbent_vals is None and not heap:
         raise InfeasibleSubproblem(
             f"instance {instance.name!r} has no integer-feasible point under the given fixings"
         )
@@ -189,33 +186,6 @@ def solve(
         for obj, vals in sorted(pool.values(), key=lambda t: (t[0], tuple(t[1])))
     )[: config.pool_size if config.collect_pool else 0]
     return trajectory, SolutionPool(instance.name, entries)
-
-
-def dive_heuristic(
-    instance: MilpInstance,
-    lp_values: np.ndarray,
-    fixings: Mapping[int, float] | None = None,
-) -> Assignment | None:
-    """Rounding dive from a relaxation point; returns a feasible assignment or None.
-
-    Fractional integer variables are rounded to the nearest integer (ties
-    toward the objective-improving side), cheapest-repair order: feasible
-    roundings are kept without an LP call, infeasible ones trigger a
-    re-solve with the variable fixed.
-    """
-    lo, hi = fixed_bounds(instance, fixings)
-    values = np.asarray(lp_values, dtype=np.float64)
-    result = _dive_arrays(
-        instance.objective_vector(),
-        *instance.dense_matrix(),
-        instance.integer_mask(),
-        lo,
-        hi,
-        values,
-    )
-    if result is None:
-        return None
-    return Assignment(result, float(instance.objective_vector() @ result))
 
 
 def _rows_ok(A: np.ndarray, b: np.ndarray, values: np.ndarray) -> bool:

@@ -35,14 +35,13 @@ class PartialAssignment:
     """Fixings keyed by position in the probability vector (binary variables only)."""
 
     fixings: dict[int, int]
-    threshold: float
     coverage: float
-    confidences: np.ndarray
 
 
 @dataclass(eq=False)
 class DiveOutcome:
-    fixed_feasible: bool
+    """``fell_back``: the fixing proved infeasible, so the unfixed rerun was returned."""
+
     fell_back: bool
     partial: PartialAssignment
 
@@ -81,7 +80,7 @@ def fix_by_threshold(probs: np.ndarray, t: float) -> PartialAssignment:
         elif p <= 1.0 - t:
             fixings[j] = 0
     coverage = len(fixings) / probs.size if probs.size else 0.0
-    return PartialAssignment(fixings, t, coverage, probs.copy())
+    return PartialAssignment(fixings, coverage)
 
 
 def to_instance_fixings(partial: PartialAssignment, binary_mask: np.ndarray) -> dict[int, int]:
@@ -113,10 +112,10 @@ def dive_and_solve(
     fixings = to_instance_fixings(partial, graph.binary_mask)
     try:
         trajectory, _ = bnb.solve(instance, fixings, config)
-        return trajectory, DiveOutcome(True, False, partial)
+        return trajectory, DiveOutcome(False, partial)
     except InfeasibleSubproblem:
         trajectory, _ = bnb.solve(instance, {}, config)
-        return trajectory, DiveOutcome(False, True, partial)
+        return trajectory, DiveOutcome(True, partial)
 
 
 def _instance_cells(

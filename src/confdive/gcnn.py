@@ -486,13 +486,8 @@ def save_model(model: GcnnModel) -> str:
         f"f_con {model.f_con}",
     ]
     for name, arr in model.named_parameters():
-        if arr.ndim == 2:
-            lines.append(f"PARAM {name} {arr.shape[0]} {arr.shape[1]}")
-            for row in arr:
-                lines.append(" ".join(repr(float(x)) for x in row))
-        else:
-            lines.append(f"PARAM {name} {arr.shape[0]}")
-            lines.append(" ".join(repr(float(x)) for x in arr))
+        lines.append(f"PARAM {name} {' '.join(map(str, arr.shape))}")
+        lines += [" ".join(repr(float(x)) for x in row) for row in np.atleast_2d(arr)]
     return "\n".join(lines) + "\n"
 
 

@@ -7,9 +7,14 @@ canonical ``<=`` form; ``>=`` and ``=`` rows are rewritten when parsed.
 The text format has one statement per line (blank lines and ``#`` comments
 are ignored)::
 
-    NAME <string>
+    NAME <name>
     VAR <name> <binary|integer|continuous> <lb> <ub> <obj>
     CON <name> <le|ge|eq> <rhs> <idx>:<coef> ...
+
+The instance name after ``NAME`` (default ``unnamed``) must match
+``[A-Za-z0-9_][A-Za-z0-9_.-]*``: it becomes a file name
+(``plots/<name>.svg``) and a CSV field, so it holds no path separator,
+comma or leading dot.
 
 Solutions serialize as ``SOL <objective>`` followed by ``<varname> <value>``
 lines. Floats are written with ``repr`` so round-trips are exact.
@@ -20,7 +25,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Iterable, Literal
+from typing import Literal
 
 import numpy as np
 
@@ -32,6 +37,8 @@ VAR_KINDS = ("binary", "integer", "continuous")
 FEAS_TOL = 1e-9
 #: Largest variable count the exhaustive oracle accepts (2^24 assignments).
 ORACLE_MAX_VARS = 24
+#: Legal instance names; a name becomes a file name and a CSV field.
+_NAME = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_.-]*")
 
 
 class InstanceFormatError(ValueError):
@@ -101,6 +108,10 @@ class MilpInstance:
         self._validate()
 
     def _validate(self) -> None:
+        if not _NAME.fullmatch(self.name):
+            raise InstanceValidationError(
+                "name", f"instance name {self.name!r} does not match {_NAME.pattern}"
+            )
         if len(self.vars) < 1:
             raise InstanceValidationError("vars", "an instance needs at least one variable")
         seen: set[str] = set()
@@ -150,10 +161,6 @@ class MilpInstance:
     def m(self) -> int:
         return len(self.constraints)
 
-    @property
-    def p(self) -> int:
-        return sum(1 for v in self.vars if v.kind in ("binary", "integer"))
-
     def objective_vector(self) -> np.ndarray:
         return np.array([v.obj for v in self.vars], dtype=np.float64)
 
@@ -196,12 +203,6 @@ class Assignment:
             self, "values", np.asarray(self.values, dtype=np.float64).copy()
         )
         object.__setattr__(self, "objective", float(self.objective))
-
-    @classmethod
-    def from_values(cls, instance: MilpInstance, values: Iterable[float]) -> "Assignment":
-        vals = np.asarray(list(values) if not isinstance(values, np.ndarray) else values,
-                          dtype=np.float64)
-        return cls(vals, float(instance.objective_vector() @ vals))
 
 
 def check_feasibility(
@@ -255,7 +256,7 @@ def parse_instance(text: str) -> MilpInstance:
     """Parse a canonical-format document into a validated :class:`MilpInstance`."""
     name = "unnamed"
     var_defs: list[VarDef] = []
-    raw_rows: list[tuple[str, str, float, list[tuple[int, float]], int]] = []
+    constraints: list[ConstraintDef] = []
     saw_name = False
     for line_no, raw in enumerate(text.splitlines(), start=1):
         tokens, cols = _tokenize(raw)
@@ -304,23 +305,14 @@ def parse_instance(text: str) -> MilpInstance:
                         f"bad variable index {idx_str!r}", line_no, col
                     ) from None
                 terms.append((idx, _parse_float(coef_str, line_no, col)))
-            raw_rows.append((tokens[1], sense, rhs, terms, line_no))
+            if sense == "ge":
+                terms, rhs = [(j, -a) for j, a in terms], -rhs
+            constraints.append(ConstraintDef(tokens[1], tuple(terms), rhs))
+            if sense == "eq":  # one row per direction
+                flipped = tuple((j, -a) for j, a in terms)
+                constraints.append(ConstraintDef(tokens[1] + "__flip", flipped, -rhs))
         else:
             raise InstanceFormatError(f"unknown keyword {tokens[0]!r}", line_no, 1)
-
-    constraints: list[ConstraintDef] = []
-    for con_name, sense, rhs, terms, _line_no in raw_rows:
-        if sense == "le":
-            constraints.append(ConstraintDef(con_name, tuple(terms), rhs))
-        elif sense == "ge":
-            constraints.append(
-                ConstraintDef(con_name, tuple((j, -a) for j, a in terms), -rhs)
-            )
-        else:  # eq -> one row per direction
-            constraints.append(ConstraintDef(con_name, tuple(terms), rhs))
-            constraints.append(
-                ConstraintDef(con_name + "__flip", tuple((j, -a) for j, a in terms), -rhs)
-            )
     return MilpInstance(name, tuple(var_defs), tuple(constraints))
 
 

@@ -5,7 +5,6 @@ from confdive import bnb, simplex
 from confdive.bnb import (
     InfeasibleSubproblem,
     SolverConfig,
-    dive_heuristic,
     parse_pool,
     serialize_pool,
     solve,
@@ -103,27 +102,37 @@ def test_budget_exhaustion_returns_partial_trajectory():
     assert not traj.proved_optimal
 
 
+def _arrays(inst, fixings=None):
+    lo, hi = fixed_bounds(inst, fixings)
+    return (inst.objective_vector(), *inst.dense_matrix(), inst.integer_mask(), lo, hi)
+
+
+def _dive(inst, point, fixings=None):
+    """``bnb._dive_arrays`` on an instance from ``point``: the dived values, or None."""
+    return bnb._dive_arrays(*_arrays(inst, fixings), np.asarray(point, dtype=np.float64))
+
+
 class TestDive:
     def test_identity_on_integral_point(self):
         inst = generate_knapsack(2, 4, 1)
         point = np.zeros(4)
-        result = dive_heuristic(inst, point, {})
+        result = _dive(inst, point, {})
         assert result is not None
-        assert np.array_equal(result.values, point)
+        assert np.array_equal(result, point)
 
     def test_tie_rounds_toward_improvement(self):
         inst = MilpInstance("one", (VarDef("x", "binary", 0, 1, 2.0),), ())
-        result = dive_heuristic(inst, np.array([0.5]), {})
-        assert np.array_equal(result.values, [0.0])
+        result = _dive(inst, np.array([0.5]), {})
+        assert np.array_equal(result, [0.0])
         negated = MilpInstance("neg", (VarDef("x", "binary", 0, 1, -2.0),), ())
-        result = dive_heuristic(negated, np.array([0.5]), {})
-        assert np.array_equal(result.values, [1.0])
+        result = _dive(negated, np.array([0.5]), {})
+        assert np.array_equal(result, [1.0])
 
     def test_respects_fixings(self):
         inst = generate_covering(4, 12, 6)
         lp = solve_lp(inst, {0: 1.0})
-        result = dive_heuristic(inst, lp.primal_values, {0: 1.0})
-        assert result is None or result.values[0] == 1.0
+        result = _dive(inst, lp.primal_values, {0: 1.0})
+        assert result is None or result[0] == 1.0
 
     @pytest.mark.parametrize("fixings", [{-1: 1.0}, {12: 1.0}, {0: 2.0}])
     def test_bad_fixings_rejected_like_solve_lp(self, fixings):
@@ -131,7 +140,7 @@ class TestDive:
         with pytest.raises(ValueError):
             solve_lp(inst, fixings)
         with pytest.raises(ValueError):
-            dive_heuristic(inst, np.full(12, 0.5), fixings)
+            _dive(inst, np.full(12, 0.5), fixings)
 
     def test_random_covering_dives_feasible(self):
         successes = 0
@@ -139,16 +148,11 @@ class TestDive:
             inst = generate_covering(seed + 200, 16, 10)
             lp = solve_lp(inst)
             assert lp.status == "optimal"
-            result = dive_heuristic(inst, lp.primal_values, {})
+            result = _dive(inst, lp.primal_values, {})
             if result is not None:
                 successes += 1
-                assert check_feasibility(inst, result.values)
+                assert check_feasibility(inst, result)
         assert successes >= 15  # the family is built so rounding up always repairs
-
-
-def _arrays(inst, fixings=None):
-    lo, hi = fixed_bounds(inst, fixings)
-    return (inst.objective_vector(), *inst.dense_matrix(), inst.integer_mask(), lo, hi)
 
 
 def _same_result(got, expected):

@@ -1,10 +1,11 @@
+import shutil
 from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 from confdive.cli import main
-from confdive.pipeline import PipelineConfig, load_config, parse_config_text
+from confdive.pipeline import PipelineConfig, build_dataset, load_config, parse_config_text
 
 MICRO = """\
 family=covering
@@ -93,11 +94,45 @@ class TestPipelineChain:
 
     def test_jobs_flag_preserves_bytes(self, workdir):
         tmp, cfg = workdir
+        trees = []
+        for jobs in ("1", "2"):
+            for command in ("generate", "collect", "train", "gridsearch", "evaluate"):
+                args = [command, "--config", str(cfg), "--jobs", jobs]
+                assert main(args + ["--svg"] * (command == "evaluate")) == 0, (command, jobs)
+            trees.append(read_tree(tmp / "out"))
+            shutil.rmtree(tmp / "out")
+        assert {"model.txt", "gridsearch.csv", "eval.csv", "summary.csv"} <= trees[0].keys()
+        assert len([name for name in trees[0] if name.startswith("plots/")]) == 2
+        assert trees[1] == trees[0]
+
+    def test_infeasible_train_instance_is_skipped(self, workdir):
+        tmp, cfg = workdir
         main(["generate", "--config", str(cfg)])
-        main(["collect", "--config", str(cfg)])
-        serial = read_tree(tmp / "out" / "pools")
-        main(["collect", "--config", str(cfg), "--jobs", "2"])
-        assert read_tree(tmp / "out" / "pools") == serial
+        bad = tmp / "out" / "instances" / "train" / "train_0001.milp"
+        # the cover row needs three of its two variables
+        bad.write_text("NAME overcover\nVAR x0 binary 0 1 1\nVAR x1 binary 0 1 1\n"
+                       "CON c ge 3 0:1 1:1\n")
+        assert main(["collect", "--config", str(cfg)]) == 0
+        pools = tmp / "out" / "pools"
+        assert (pools / "skipped.txt").read_text() == "overcover infeasible\n"
+        assert sorted(p.name for p in pools.glob("*.sol")) == [
+            "train_0000.sol", "train_0002.sol", "train_0003.sol"
+        ]
+        dataset = build_dataset(load_config(cfg))
+        assert [d.graph.n_vars for d in dataset] == [12, 12, 12]
+        assert main(["train", "--config", str(cfg)]) == 0
+
+    def test_unsafe_instance_name_writes_nothing(self, workdir):
+        tmp, cfg = workdir
+        for command in ("generate", "collect", "train"):
+            assert main([command, "--config", str(cfg)]) == 0, command
+        test_file = tmp / "out" / "instances" / "test" / "test_0000.milp"
+        lines = test_file.read_text().splitlines()
+        lines[0] = "NAME ../../escaped,name"  # would be written as out/plots/../../escaped,name.svg
+        test_file.write_text("\n".join(lines) + "\n")
+        before = read_tree(tmp)
+        assert main(["evaluate", "--config", str(cfg), "--threshold", "0.9", "--svg"]) == 2
+        assert read_tree(tmp) == before
 
     def test_knapsack_family_chain(self, tmp_path):
         cfg = tmp_path / "k.cfg"

@@ -90,7 +90,7 @@ class TestDiveAndSolve:
         inst = generate_knapsack(21, 6, 2)
         model = constant_model(0.99)
         traj, outcome = dive_and_solve(inst, model, 0.9, CFG)
-        assert outcome.fell_back and not outcome.fixed_feasible
+        assert outcome.fell_back
         plain, _ = solve(inst, {}, CFG)
         assert traj.final_objective() == plain.final_objective()
         assert [e.step for e in traj.events] == [e.step for e in plain.events]
@@ -104,7 +104,7 @@ class TestDiveAndSolve:
             traj, outcome = dive_and_solve(
                 inst, constant_model(0.5), 0.9, CFG, graph=graph, probs=probs
             )
-            assert outcome.fixed_feasible and not outcome.fell_back
+            assert not outcome.fell_back
             assert outcome.partial.coverage == 1.0
             assert traj.events[0].step <= 3
             assert traj.events[0].objective == pytest.approx(opt.objective, abs=1e-9)

@@ -29,7 +29,7 @@ def binary_var(name, obj):
 class TestParsing:
     def test_minimal_document(self):
         inst = parse_instance("VAR x binary 0 1 1.0\n")
-        assert (inst.n, inst.m, inst.p) == (1, 0, 1)
+        assert (inst.n, inst.m, int(inst.integer_mask().sum())) == (1, 0, 1)
         assert inst.name == "unnamed"
 
     def test_comments_and_blanks_ignored(self):
@@ -80,6 +80,12 @@ class TestParsing:
                 21,
             ),  # bad third CON term
             ("VAR a binary 0 1 1\n  CON  r le  1 0:1 1\n", 2, 20),  # term without colon
+            ("NAME a\nVAR x binary 0 1 1\nNAME b\n", 3, 1),  # duplicate NAME
+            ("NAME a b\nVAR x binary 0 1 1\n", 1, 1),  # NAME arity
+            ("VAR x binary 0 1\n", 1, 1),  # VAR arity
+            ("VAR x binary 0 1 1\nCON r le\n", 2, 1),  # CON arity
+            ("VAR x binary 0 1 1\nCON r  lt 1 0:1\n", 2, 8),  # unknown sense
+            ("VAR x binary 0 1 1\nCON r le 1 0:1 y:1\n", 2, 16),  # bad variable index
         ],
     )
     def test_error_columns_are_exact(self, text, line, column):
@@ -124,6 +130,9 @@ class TestParsing:
             "VAR x continuous 3 1 1\n",  # lb > ub
             "VAR x binary 0 1 1\nVAR x binary 0 1 1\n",  # duplicate name
             "",  # no variables
+            "NAME ../x\nVAR x binary 0 1 1\n",  # a name must not leave its directory
+            "NAME a,b\nVAR x binary 0 1 1\n",  # nor split a CSV field
+            "NAME .hidden\nVAR x binary 0 1 1\n",  # nor start with a dot
         ],
     )
     def test_semantic_rejections(self, text):
@@ -152,7 +161,8 @@ class TestParsing:
 class TestSolutionFormat:
     def test_round_trip(self):
         inst = generate_knapsack(3, 4, 1)
-        sol = Assignment.from_values(inst, [1, 0, 1, 0])
+        values = np.array([1.0, 0.0, 1.0, 0.0])
+        sol = Assignment(values, float(inst.objective_vector() @ values))
         text = serialize_solution(inst, sol)
         assert text.startswith("SOL ")
         back = parse_solution(text, inst)
@@ -170,11 +180,22 @@ class TestSolutionFormat:
         with pytest.raises(InstanceValidationError):
             parse_solution("SOL 0.0\nx0 0.0\n", inst)
 
+    def test_unknown_variable_rejected(self):
+        inst = generate_knapsack(3, 2, 1)
+        with pytest.raises(InstanceValidationError, match="unknown variable 'x9'") as err:
+            parse_solution("SOL 0.0\nx0 0.0\nx1 0.0\nx9 0.0\n", inst)
+        assert err.value.path == "vars"
+
     @pytest.mark.parametrize(
         "text, line, column",
         [
             ("SOL 0.0\n  x0 \t nope\nx1 0.0\n", 2, 8),  # bad value
             ("\tSOL   zero\nx0 0.0\nx1 0.0\n", 1, 8),  # bad objective
+            ("SOL 0.0\nx0 0.0\nSOL 0.0\n", 3, 1),  # duplicate SOL
+            ("SOL 0.0 1.0\nx0 0.0\nx1 0.0\n", 1, 1),  # SOL arity
+            ("SOL 0.0\nx0 0.0 1.0\nx1 0.0\n", 2, 1),  # malformed value line
+            ("SOL 0.0\nx0 0.0\nx0 1.0\nx1 0.0\n", 3, 1),  # duplicate value
+            ("x0 0.0\nx1 0.0\n", 1, 1),  # missing SOL
         ],
     )
     def test_bad_value_column_is_exact(self, text, line, column):
@@ -182,6 +203,31 @@ class TestSolutionFormat:
         with pytest.raises(InstanceFormatError) as err:
             parse_solution(text, inst)
         assert (err.value.line, err.value.column) == (line, column)
+
+
+class TestFeasibility:
+    # x binary, y integer in [0, 3]; row x - y <= 0. Each rejected point fails one check only.
+    INST = MilpInstance(
+        "feas",
+        (binary_var("x", 1.0), VarDef("y", "integer", 0.0, 3.0, 1.0)),
+        (ConstraintDef("r", ((0, 1.0), (1, -1.0)), 0.0),),
+    )
+
+    def test_feasible_point_accepted(self):
+        assert check_feasibility(self.INST, np.array([1.0, 2.0]))
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [1.0, 2.0, 0.0],  # wrong shape
+            [-1.0, 0.0],  # x below its lb
+            [1.0, 4.0],  # y above its ub
+            [0.0, 1.5],  # fractional integer
+            [1.0, 0.0],  # row violated: 1 > 0
+        ],
+    )
+    def test_rejections(self, values):
+        assert not check_feasibility(self.INST, np.array(values))
 
 
 class TestGenerators:
