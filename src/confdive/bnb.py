@@ -8,6 +8,10 @@ heuristic emphasis, and feeds the optional solution pool. Each child
 node's LP starts dual pivoting from its parent's final tableau
 (``simplex.DualTableau``), so a node factorizes no basis (the simplex
 refactorizes one only every REFACTOR_PIVOTS inherited pivots).
+
+The rounding dive computes its roundings as arrays once per LP point, but
+takes the same roundings, in the same order and with the same slack
+arithmetic, as its reference in ``tests/oracles.py`` (``rescan_dive_arrays``).
 """
 
 from __future__ import annotations
@@ -118,7 +122,7 @@ def solve(
     def pool_add(values: np.ndarray, objective: float) -> None:
         if not config.collect_pool:
             return
-        key = tuple(np.round(values, 9))
+        key = tuple(np.round(values, 9).tolist())
         if key not in pool:
             pool[key] = (objective, values.copy())
 
@@ -197,10 +201,10 @@ def _fractional_order(values: np.ndarray, int_mask: np.ndarray) -> list[int]:
 
     Empty when every integer variable is within ``INT_TOL`` of an integer.
     """
-    frac = np.abs(values - np.round(values))
-    idx = np.flatnonzero(int_mask & (frac > INT_TOL))
-    score = np.minimum(frac[idx], 1.0 - frac[idx])  # distance to the nearest integer
-    return idx[np.argsort(-score, kind="stable")].tolist()
+    # |v - round(v)| <= 0.5 is already the distance to the nearest integer
+    frac = np.abs(values - np.rint(values))
+    idx = (int_mask & (frac > INT_TOL)).nonzero()[0]
+    return idx[np.argsort(-frac[idx], kind="stable")].tolist()
 
 
 def _dive_arrays(
@@ -214,67 +218,87 @@ def _dive_arrays(
 ) -> np.ndarray | None:
     """Round fractional integer variables of ``values`` one at a time, most fractional first.
 
-    Committing a rounding changes only that variable, so the order is computed
-    once per LP point and recomputed only after an LP repair. Each variable
-    taken from the order (rounded or repaired) and the final snap is one step
-    against the cap of one step per integer variable plus one.
+    Committing a rounding changes only that variable, so the order, each
+    variable's preferred and other rounding, and the row slack change of the
+    preferred one are computed once per LP point, and recomputed only after
+    an LP repair. Each variable taken from the order (rounded or repaired)
+    and the final snap is one step against the cap of one step per integer
+    variable plus one.
     """
     lo = lo.copy()
     hi = hi.copy()
     vals = values.copy()
-    has_continuous = bool((~int_mask).any())
-    slack = (b - A @ vals) if A.shape[0] else np.zeros(0)
-    order = _fractional_order(vals, int_mask)
-    pos = 0
-    for _ in range(int(int_mask.sum()) + 1):
-        if pos == len(order):
-            snapped = vals.copy()
-            snapped[int_mask] = np.round(snapped[int_mask])
-            if np.all(snapped >= lo - FEAS_TOL) and np.all(snapped <= hi + FEAS_TOL) and _rows_ok(A, b, snapped):
-                return snapped
-            if has_continuous:
-                lo2, hi2 = lo.copy(), hi.copy()
-                lo2[int_mask] = hi2[int_mask] = snapped[int_mask]
-                res = _solve_lp_arrays(c, A, b, lo2, hi2)
-                if res.status == "optimal":
-                    return res.primal_values
-            return None
-        j = order[pos]
-        pos += 1
-        v = float(vals[j])
-        fpart = v - math.floor(v)
-        if fpart > 0.5 + 1e-12:
-            preferred = math.floor(v) + 1
-        elif fpart < 0.5 - 1e-12:
-            preferred = math.floor(v)
-        else:
-            preferred = math.floor(v) + (0 if c[j] >= 0 else 1)
-        j_lo, j_hi = math.ceil(lo[j] - FEAS_TOL), math.floor(hi[j] + FEAS_TOL)
-        preferred = min(max(preferred, j_lo), j_hi)
-        other = preferred + 1 if preferred <= v else preferred - 1
-        committed = False
-        for r in (preferred, other):
-            if not j_lo <= r <= j_hi:
-                continue
-            new_slack = slack - A[:, j] * (float(r) - v) if A.shape[0] else slack
-            if not A.shape[0] or new_slack.min() >= -FEAS_TOL:
-                vals[j] = float(r)
-                lo[j] = hi[j] = float(r)
-                slack = new_slack
-                committed = True
-                break
-        if committed:
-            continue
-        # neither direction keeps the rows satisfied: one LP repair attempt
-        lo[j] = hi[j] = float(preferred)
-        res = _solve_lp_arrays(c, A, b, lo, hi)
-        if res.status != "optimal":
-            return None
-        vals = res.primal_values
-        slack = (b - A @ vals) if A.shape[0] else slack
+    rows = A.shape[0]
+    slack = (b - A @ vals) if rows else np.zeros(0)
+    steps = int(int_mask.sum()) + 1
+    while True:
         order = _fractional_order(vals, int_mask)
-        pos = 0
+        if order:
+            pref, other, pref_ok, other_ok, shift = _roundings(c, A, lo, hi, vals, order)
+        for i, j in enumerate(order):
+            if not steps:
+                return None
+            steps -= 1
+            if pref_ok[i]:
+                new_slack = slack - shift[i]
+                if not rows or np.minimum.reduce(new_slack) >= -FEAS_TOL:
+                    vals[j] = lo[j] = hi[j] = pref[i]
+                    slack = new_slack
+                    continue
+            if other_ok[i]:
+                r = other[i]
+                new_slack = slack - A[:, j] * (r - float(vals[j])) if rows else slack
+                if not rows or new_slack.min() >= -FEAS_TOL:
+                    vals[j] = lo[j] = hi[j] = r
+                    slack = new_slack
+                    continue
+            # neither direction keeps the rows satisfied: one LP repair attempt
+            lo[j] = hi[j] = pref[i]
+            res = _solve_lp_arrays(c, A, b, lo, hi)
+            if res.status != "optimal":
+                return None
+            vals = res.primal_values
+            slack = (b - A @ vals) if rows else slack
+            break  # round the new LP point
+        else:
+            break  # every fractional variable is rounded
+    if not steps:
+        return None
+    snapped = np.where(int_mask, np.rint(vals), vals)
+    if (snapped >= lo - FEAS_TOL).all() and (snapped <= hi + FEAS_TOL).all() and _rows_ok(A, b, snapped):
+        return snapped
+    if (~int_mask).any():
+        lo[int_mask] = hi[int_mask] = snapped[int_mask]
+        res = _solve_lp_arrays(c, A, b, lo, hi)
+        if res.status == "optimal":
+            return res.primal_values
     return None
+
+
+def _roundings(
+    c: np.ndarray, A: np.ndarray, lo: np.ndarray, hi: np.ndarray, vals: np.ndarray, order: list[int]
+) -> tuple[list[float], list[float], list[bool], list[bool], np.ndarray]:
+    """Each ordered variable's preferred and other rounding, whether each lies
+    within the variable's integer range, and the row slack change of the
+    preferred one (one row per variable).
+
+    The preferred rounding is the nearest integer, a tie going the way that
+    lowers the cost, clamped to the range. Both are exact integers in float,
+    never -0.0.
+    """
+    idx = np.array(order)
+    v = vals[idx]
+    floor = np.floor(v)
+    fpart = v - floor
+    # above one half: round up; below: down; a tie goes up only at a negative cost
+    up = (fpart > 0.5 + 1e-12) | ((fpart >= 0.5 - 1e-12) & ~(c[idx] >= 0))
+    j_lo, j_hi = np.ceil(lo[idx] - FEAS_TOL), np.floor(hi[idx] + FEAS_TOL)
+    pref = np.minimum(np.maximum(floor + up, j_lo), j_hi) + 0.0  # + 0.0 turns -0.0 into 0.0
+    other = pref + np.where(pref <= v, 1.0, -1.0)
+    pref_ok = j_lo <= j_hi  # pref is clamped into the range unless it is empty
+    other_ok = (j_lo <= other) & (other <= j_hi)
+    shift = A.T[idx] * (pref - v)[:, None]
+    return pref.tolist(), other.tolist(), pref_ok.tolist(), other_ok.tolist(), shift
 
 
 def serialize_pool(pool: SolutionPool, instance: MilpInstance) -> str:

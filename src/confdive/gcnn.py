@@ -152,8 +152,10 @@ class TrainConfig:
     loss_mode: str = "minibatch"
 
     def __post_init__(self):
-        if self.lr < 0:
-            raise ValueError("lr must be >= 0")
+        if not (self.lr >= 0 and math.isfinite(self.lr)):
+            raise ValueError(f"lr must be >= 0 and finite, got {self.lr}")
+        if not 0 <= self.momentum < 1:
+            raise ValueError(f"momentum must lie in [0, 1), got {self.momentum}")
         if self.batch_size < 1 or self.epochs < 1:
             raise ValueError("batch_size and epochs must be >= 1")
         if self.loss_mode not in ("minibatch", "fullbatch"):

@@ -23,6 +23,12 @@ Both switch to smallest-index rules after DEGENERATE_PIVOT_LIMIT consecutive
 degenerate pivots, and raise NumericalBreakdown at the iteration limit.
 Feasibility tolerance 1e-7, optimality tolerance 1e-9. Instances at desk
 scale (a few hundred variables) need no sparse machinery.
+
+The dual pivot loop is written for few numpy calls per pivot, but it does the
+floating-point operations of its reference in ``tests/oracles.py``
+(``mask_dual_pivot_until_feasible``) in the same order, so it takes the same
+pivots and reaches the same bytes; ``_pivot`` is the only tableau update on
+either path.
 """
 
 from __future__ import annotations
@@ -77,7 +83,7 @@ class DualTableau:
 
     def __post_init__(self):
         for a in (self.M, self.costrow, self.basis, self.at_upper, self.lo, self.hi):
-            a.flags.writeable = False
+            a.setflags(write=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,7 +145,7 @@ def _solve_lp_arrays(
 
 def _dual_applies(c: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> bool:
     """The slack basis is dual feasible: no variable is pushed toward an infinite bound."""
-    return bool(np.all(np.isfinite(lo)) and np.all(np.isfinite(hi) | (c >= -OPTIMALITY_TOL)))
+    return bool((np.isfinite(lo) & (np.isfinite(hi) | (c >= -OPTIMALITY_TOL))).all())
 
 
 def _solve_dual(
@@ -151,7 +157,7 @@ def _solve_dual(
     tableau: DualTableau | None = None,
 ) -> LpResult:
     m, n = A.shape
-    if np.any(lo > hi + FEASIBILITY_TOL):
+    if (lo > hi + FEASIBILITY_TOL).any():
         return LpResult("infeasible", float("inf"), np.full(n, np.nan))
     # columns: n structural variables, then m slacks s = b - A x >= 0
     lo_f = np.concatenate([lo, np.zeros(m)])
@@ -171,10 +177,10 @@ def _solve_dual(
         if _proves_infeasible(M[p, n:-1], A, b, lo_f, hi_f):
             return LpResult("infeasible", float("inf"), np.full(n, np.nan))
         return _solve_primal(c, A, b, lo, hi)  # the certificate did not survive recomputation
-    x = np.where(at_upper, hi_f, lo_f)[:n]
-    structural = basis < n
-    x[basis[structural]] = M[structural, -1]
-    np.clip(x, lo, hi, out=x)
+    full = np.where(at_upper, hi_f, lo_f)
+    full[basis] = M[:, -1]
+    x = full[:n]
+    x.clip(lo, hi, out=x)
     _check_rows(A, b, x)
     final = DualTableau(M, costrow, basis, at_upper, lo_f, hi_f, inherited + pivots)
     return LpResult("optimal", float(c @ x), x, final)
@@ -220,9 +226,10 @@ def _inherit(
     at_upper = _at_upper(tableau.costrow[:-1], lo_f, hi_f)
     if at_upper is None:
         return None
-    delta = np.where(at_upper, hi_f, lo_f) - np.where(tableau.at_upper, tableau.hi, tableau.lo)
+    delta = np.where(at_upper, hi_f, lo_f)
+    delta -= np.where(tableau.at_upper, tableau.hi, tableau.lo)
     delta[tableau.basis] = 0.0
-    moved = np.flatnonzero(delta)
+    moved = delta.nonzero()[0]
     M = tableau.M.copy()
     if moved.size:
         M[:, -1] -= M[:, moved] @ delta[moved]
@@ -236,7 +243,7 @@ def _at_upper(d: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray | Non
     i.e. the basis is not dual feasible.
     """
     up = (d < -OPTIMALITY_TOL) & (lo < hi)
-    if not np.all(np.isfinite(hi[up])):
+    if not np.isfinite(hi[up]).all():
         return None
     return up
 
@@ -279,43 +286,50 @@ def _dual_pivot_until_feasible(
 
     Returns ``(row, pivots)``: the row is None at the optimum, or one whose
     basic variable cannot reach its bounds, which proves the LP infeasible.
+    ``nonbasic`` is read once, before the first pivot.
     """
     if not M.shape[0]:
         return None, 0
-    # toward = sign * s_alpha (negated at the upper bound); a column is a
-    # candidate where toward exceeds its threshold, which is inf where it
-    # may not enter (basic, or fixed)
-    sign = np.where(at_upper, -1.0, 1.0)
-    threshold = np.where(nonbasic & (lo < hi), PIVOT_TOL, np.inf)
+    # A column may enter where direction * alpha exceeds PIVOT_TOL, alpha the
+    # pivot row negated when the leaving value drops to its lower bound: the
+    # direction is -1 at the upper bound, +1 at the lower one, and 0 where the
+    # column may not enter (basic, or fixed), which never passes.
+    direction = np.where(at_upper, -1.0, 1.0)
+    direction[~(nonbasic & (lo < hi))] = 0.0
+    toward = np.empty_like(direction)
     lo_b, hi_b = lo[basis], hi[basis]
     above, violation = np.empty_like(lo_b), np.empty_like(lo_b)
-    toward = np.empty_like(sign)
+    values = M[:, -1]
     degenerate = 0
     bland = False
     for pivots in range(_iteration_limit(M)):
-        values = M[:, -1]
         np.subtract(values, hi_b, out=above)
         np.maximum(np.subtract(lo_b, values, out=violation), above, out=violation)
-        p = int(np.argmax(violation))
+        p = int(violation.argmax())
         if violation[p] <= FEASIBILITY_TOL:
             return None, pivots
         if bland:
-            rows = np.flatnonzero(violation > FEASIBILITY_TOL)
-            p = int(rows[np.argmin(basis[rows])])
+            rows = (violation > FEASIBILITY_TOL).nonzero()[0]
+            p = int(rows[basis[rows].argmin()])
         to_upper = bool(above[p] > 0.0)
-        # s_alpha_j > 0: raising x_j moves the leaving value toward the bound it leaves at
-        s_alpha = M[p, :-1] if to_upper else -M[p, :-1]
-        cand = np.flatnonzero(np.multiply(sign, s_alpha, out=toward) > threshold)
-        if cand.size == 0:
+        row = M[p, :-1]
+        np.multiply(direction, row, out=toward)
+        cand = ((toward > PIVOT_TOL) if to_upper else (toward < -PIVOT_TOL)).nonzero()[0]
+        if not cand.size:
             return p, pivots
+        # s_alpha > 0: raising x_j moves the leaving value toward the bound it leaves at
+        s_alpha = row[cand]
+        if not to_upper:
+            np.negative(s_alpha, out=s_alpha)
         ratios = costrow[cand]
-        np.maximum(np.divide(ratios, s_alpha[cand], out=ratios), 0.0, out=ratios)
-        best = ratios.min()
-        tied = cand[ratios <= best + 1e-12]
-        if bland:
+        np.maximum(np.divide(ratios, s_alpha, out=ratios), 0.0, out=ratios)
+        best = np.minimum.reduce(ratios)
+        tie = ratios <= best + 1e-12
+        tied = cand[tie]
+        if bland or tied.size == 1:
             q = int(tied[0])
         else:
-            q = int(tied[np.argmax(np.abs(s_alpha[tied]))])
+            q = int(tied[np.abs(s_alpha[tie]).argmax()])
         if best <= 1e-12:
             degenerate += 1
             if degenerate >= DEGENERATE_PIVOT_LIMIT:
@@ -326,14 +340,13 @@ def _dual_pivot_until_feasible(
         entering_value = hi[q] if at_upper[q] else lo[q]
         leaving_value = hi[leaving] if to_upper else lo[leaving]
         _pivot(M, costrow, basis, p, q)
-        M[:, -1] -= leaving_value * M[:, leaving]
-        M[p, -1] += entering_value
+        values -= leaving_value * M[:, leaving]
+        values[p] += entering_value
         lo_b[p], hi_b[p] = lo[q], hi[q]
-        nonbasic[q] = at_upper[q] = False
-        nonbasic[leaving], at_upper[leaving] = True, to_upper
-        sign[q], sign[leaving] = 1.0, -1.0 if to_upper else 1.0
-        threshold[q] = np.inf
-        threshold[leaving] = PIVOT_TOL if lo[leaving] < hi[leaving] else np.inf
+        at_upper[q] = False
+        at_upper[leaving] = to_upper
+        direction[q] = 0.0
+        direction[leaving] = (-1.0 if to_upper else 1.0) if lo[leaving] < hi[leaving] else 0.0
     raise NumericalBreakdown("dual simplex iteration limit exceeded")
 
 
@@ -356,7 +369,7 @@ def _proves_infeasible(
 
 def _check_rows(A: np.ndarray, b: np.ndarray, x: np.ndarray) -> None:
     if A.shape[0]:
-        worst = float(np.max(A @ x - b))
+        worst = float((A @ x - b).max())
         if worst > 1e-6:
             raise NumericalBreakdown(f"optimal point violates a row by {worst:.3e}")
 
@@ -529,11 +542,12 @@ def _iteration_limit(M: np.ndarray) -> int:
 
 
 def _pivot(M: np.ndarray, costrow: np.ndarray, basis: np.ndarray, p: int, q: int) -> None:
-    M[p] /= M[p, q]
+    row = M[p]
+    row /= row[q]
     col = M[:, q].copy()
     col[p] = 0.0
-    M -= col[:, None] * M[p]
-    costrow -= costrow[q] * M[p]
+    M -= col[:, None] * row
+    costrow -= costrow[q] * row
     basis[p] = q
 
 

@@ -142,6 +142,19 @@ class TestDive:
         with pytest.raises(ValueError):
             _dive(inst, np.full(12, 0.5), fixings)
 
+    def test_integer_variable_without_upper_bound(self):
+        # 2x + 2y >= 3 over nonnegative integers: x = 1.5 rounds up to 2 though
+        # its range has no upper end, and the tree proves that optimal
+        inst = MilpInstance(
+            "open",
+            (VarDef("x", "integer", 0.0, float("inf"), 1.0),
+             VarDef("y", "integer", 0.0, float("inf"), 1.0)),
+            (ConstraintDef("r", ((0, -2.0), (1, -2.0)), -3.0),),
+        )
+        assert np.array_equal(_dive(inst, [1.5, 0.0]), [2.0, 0.0])
+        traj, _ = solve(inst, {}, SolverConfig(step_limit=20, heuristic_emphasis="aggressive"))
+        assert traj.proved_optimal and traj.final_objective() == 2.0
+
     def test_random_covering_dives_feasible(self):
         successes = 0
         for seed in range(20):

@@ -24,6 +24,23 @@ lr=0.2
 grid=0.8,1.0
 """
 
+#: Equality rows whose root dive fails: the first incumbent comes at step 5.
+LATE_FIRST = """\
+NAME late_first
+VAR x0 binary 0 1 2
+VAR x1 binary 0 1 1
+VAR x2 binary 0 1 9
+VAR x3 binary 0 1 9
+VAR x4 binary 0 1 4
+VAR x5 binary 0 1 5
+VAR x6 binary 0 1 3
+VAR x7 binary 0 1 8
+CON r0 eq 2 0:1 1:1 6:1 7:1
+CON r1 eq 1 0:1 3:1 5:1
+CON r2 eq 2 0:1 1:1 4:1 5:1
+CON r3 eq 2 0:1 2:1 3:1 4:1 6:1 7:1
+"""
+
 
 @pytest.fixture()
 def workdir(tmp_path):
@@ -93,16 +110,31 @@ class TestPipelineChain:
         assert "diving@t=0.9" in (tmp / "out" / "eval.csv").read_text()
 
     def test_jobs_flag_preserves_bytes(self, workdir):
+        """Every output of the five stages is the same at --jobs 1 and 2.
+
+        Six epochs give a model whose fixings differ between thresholds, so
+        the grid rows differ. A generated instance finds its first incumbent
+        at step 1, and with integer costs the mean primal integral is then
+        the same whichever instance each cell is charged to. The plain solve of
+        the hand-written validation instance finds its first one at step 5, so
+        a grid map that returned its cells out of instance order would change
+        the report.
+        """
         tmp, cfg = workdir
+        cfg.write_text(cfg.read_text() + "epochs=6\ngrid=0.55,0.65,0.75,0.85,0.95\n")
         trees = []
         for jobs in ("1", "2"):
             for command in ("generate", "collect", "train", "gridsearch", "evaluate"):
                 args = [command, "--config", str(cfg), "--jobs", jobs]
                 assert main(args + ["--svg"] * (command == "evaluate")) == 0, (command, jobs)
+                if command == "generate":
+                    (tmp / "out" / "instances" / "valid" / "valid_0001.milp").write_text(LATE_FIRST)
             trees.append(read_tree(tmp / "out"))
             shutil.rmtree(tmp / "out")
         assert {"model.txt", "gridsearch.csv", "eval.csv", "summary.csv"} <= trees[0].keys()
         assert len([name for name in trees[0] if name.startswith("plots/")]) == 2
+        rows = trees[0]["gridsearch.csv"].decode().splitlines()[1:-1]
+        assert len({row.split(",", 1)[1] for row in rows}) >= 2  # the thresholds differ
         assert trees[1] == trees[0]
 
     def test_infeasible_train_instance_is_skipped(self, workdir):
@@ -252,6 +284,11 @@ class TestConfigText:
             ("epochs=0\n", "epochs must be >= 1"),
             ("batch_size=0\n", "batch_size and epochs must be >= 1"),
             ("lr=-1\n", "lr must be >= 0"),
+            ("lr=nan\n", "lr must be >= 0 and finite, got nan"),
+            ("lr=inf\n", "lr must be >= 0 and finite, got inf"),
+            ("momentum=nan\n", "momentum must lie in [0, 1), got nan"),
+            ("momentum=-0.5\n", "momentum must lie in [0, 1), got -0.5"),
+            ("momentum=1\n", "momentum must lie in [0, 1), got 1.0"),
             ("hidden_dim=0\n", "hidden_dim must be >= 1"),
             ("temperature=0\n", "temperature must be > 0"),
             ("temperature=-1\n", "temperature must be > 0"),

@@ -5,7 +5,10 @@ path swapped for its slow reference (``np.add.at`` into zeros for ``gcnn._scatte
 the rescan dive in ``oracles`` for ``bnb._dive_arrays``, the per-solution loss
 for ``gcnn._graph_term`` and the mask-rebuilding dual loop for
 ``simplex._dual_pivot_until_feasible``). Every output file must hash the same,
-so a later speed-up of these paths cannot change the output bytes.
+so a later speed-up of these paths cannot change the output bytes. Both runs
+must also do the same work: the same number of tableau pivots, LP solves and
+rounding dives, so a fast path that takes other pivots but happens to write
+the same bytes fails too.
 """
 
 import hashlib
@@ -13,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+import oracles
 from confdive import bnb, gcnn, simplex
 from confdive.pipeline import (
     PipelineConfig,
@@ -57,8 +61,34 @@ def run_pipeline(outdir: Path) -> dict[str, str]:
     }
 
 
+def count_work(monkeypatch) -> dict[str, int]:
+    """Counts the calls of ``simplex._pivot``, of ``_solve_lp_arrays`` as bound in
+    ``simplex`` and in ``bnb`` and of ``bnb._dive_arrays``, through whatever is
+    installed under those names when this runs. The rescan dive's own LP
+    repairs call the binding in ``oracles`` and count as ``bnb``'s."""
+    work = {"pivot": 0, "simplex_lp": 0, "bnb_lp": 0, "dive": 0}
+
+    def count(module, name, key):
+        inner = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            work[key] += 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(simplex, "_pivot", "pivot")
+    count(simplex, "_solve_lp_arrays", "simplex_lp")
+    count(bnb, "_solve_lp_arrays", "bnb_lp")
+    count(oracles, "_solve_lp_arrays", "bnb_lp")
+    count(bnb, "_dive_arrays", "dive")
+    return work
+
+
 def test_fast_paths_write_the_same_bytes_as_their_references(tmp_path, monkeypatch):
-    fast = run_pipeline(tmp_path / "fast")
+    with monkeypatch.context() as patch:
+        fast_work = count_work(patch)
+        fast = run_pipeline(tmp_path / "fast")
 
     calls = {"scatter": 0, "dive": 0, "loss": 0, "dual": 0}
 
@@ -87,8 +117,11 @@ def test_fast_paths_write_the_same_bytes_as_their_references(tmp_path, monkeypat
     monkeypatch.setattr(bnb, "_dive_arrays", rescan)
     monkeypatch.setattr(gcnn, "_graph_term", per_solution)
     monkeypatch.setattr(simplex, "_dual_pivot_until_feasible", mask_dual)
+    reference_work = count_work(monkeypatch)
     reference = run_pipeline(tmp_path / "reference")
 
     assert all(count > 0 for count in calls.values()), calls
     assert len(fast) > 20
     assert fast == reference
+    assert all(count > 0 for count in fast_work.values()), fast_work
+    assert fast_work == reference_work

@@ -534,16 +534,38 @@ def fixed_column_reentry_lp():
     return c, A, b, lo, hi, root.tableau
 
 
+def benchmark_shape_chains():
+    """Covering LPs at the benchmark shapes, 40 x 32 and 120 x 80: each root
+    starts cold, and each child down one branch starts from its parent's final
+    tableau. Each step fixes the variable with the largest value to 0, until
+    the LP is infeasible or the depth runs out. Yields (c, A, b, lo, hi,
+    parent tableau)."""
+    for seed, n, m, depth in ((41, 40, 32, 20), (42, 40, 32, 20), (43, 120, 80, 10),
+                              (44, 120, 80, 10)):
+        c, A, b, lo, hi = lp_arrays(generate_covering(seed, n, m))
+        parent = None
+        for _ in range(depth):
+            yield c, A, b, lo, hi, parent and parent.tableau
+            res = _solve_lp_arrays(c, A, b, lo, hi, tableau=parent and parent.tableau)
+            if res.status != "optimal":
+                break
+            lo, hi = lo.copy(), hi.copy()
+            hi[int(np.argmax(res.primal_values))] = 0.0
+            parent = res
+
+
 def solve_all(lps):
     return [_solve_lp_arrays(*lp, tableau=tableau) for *lp, tableau in lps]
 
 
-@pytest.mark.parametrize("corpus", ["cold", "warm", "bland"])
+@pytest.mark.parametrize("corpus", ["cold", "warm", "bland", "benchmark"])
 def test_dual_loop_matches_its_reference_bit_for_bit(monkeypatch, corpus):
     """Same results and the same pivots as the loop that rebuilds its masks at every pivot."""
     if corpus == "warm":
         lps = list(warm_start_chains(40))
         lps.append(fixed_column_reentry_lp())
+    elif corpus == "benchmark":
+        lps = list(benchmark_shape_chains())
     else:
         lps = [(*lp, None) for lp in seeded_lps(80 if corpus == "cold" else 16)]
     pivots = count_calls(monkeypatch, "_pivot")
