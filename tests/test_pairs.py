@@ -49,13 +49,6 @@ def test_gap_within_the_parent_iqr_does_not_hold():
     assert v.wins == 10 and v.gap < v.parent_iqr and not v.holds
 
 
-def test_higher_is_better_flips_the_direction():
-    child = [p + 0.25 for p in PARENT]
-    assert not pairs.judge(PARENT, child).holds
-    v = pairs.judge(PARENT, child, lower_is_better=False)
-    assert v.wins == 10 and v.holds
-
-
 def test_unpaired_runs_rejected():
     with pytest.raises(ValueError, match="unpaired"):
         pairs.judge(PARENT, PARENT[:-1])

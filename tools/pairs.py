@@ -3,15 +3,20 @@
     python3 tools/pairs.py --workload covering-aggr --seed 23 --pairs 10 [--parent HEAD]
 
 Checks the parent revision out into a temporary ``git worktree`` (removed
-afterwards), then runs ``benchmarks/run.py --trace 0`` N times on each side,
-alternating which side goes first, and reads the end-to-end metrics from the
-JSON line each run prints. For the judged metric (``pipeline_s`` by default;
-``BENCHMARK.json`` says whether lower or higher is better) it prints every run
-of each side, the median and the quartiles; then the wins of the working tree (ties count for neither side)
-and whether the claim rule holds: the working tree wins at least 9 of 10
+afterwards), then runs ``benchmarks/run.py --trace 0`` (at its own default
+``--seconds``) N times on each side, alternating which side goes first, and
+reads the end-to-end metrics from the JSON line each run prints. For
+``pipeline_s`` (lower is better) it prints every run of each side, the median
+and the quartiles; then the wins of the working tree (ties count for neither
+side) and whether the claim rule holds: the working tree wins at least 9 of 10
 pairs, and its median beats the parent's by more than the parent's
 interquartile range. For every other metric it prints each side's median and
 quartiles.
+
+Each ``run.py`` starts in its own session. If this tool is stopped (Ctrl-C or
+SIGTERM), the running ``run.py`` gets SIGINT, which unwinds it through its own
+cleanup of the ``stages.py`` session it started, and SIGKILL if it has not
+exited within ``STOP_GRACE_S``; only then is the worktree removed.
 
 Each side writes its own ``.bench_out/``; nothing is written under
 ``benchmarks/``.
@@ -21,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import signal
 import statistics
 import subprocess
@@ -30,8 +36,12 @@ from dataclasses import dataclass
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+#: The judged metric; lower is better.
+METRIC = "pipeline_s"
 #: Share of pairs the working tree must win for a claimed gain to hold.
 WIN_SHARE = 0.9
+#: Seconds a stopped run.py gets to kill its stages.py session before SIGKILL.
+STOP_GRACE_S = 10.0
 
 
 @dataclass(frozen=True)
@@ -58,7 +68,7 @@ class Verdict:
     wins: int
     losses: int
     ties: int
-    gap: float  # parent median minus working-tree median, signed so that > 0 is better
+    gap: float  # parent median minus working-tree median: > 0 is better
     parent_iqr: float
 
     @property
@@ -67,24 +77,43 @@ class Verdict:
         return self.wins >= WIN_SHARE * n and self.gap > self.parent_iqr
 
 
-def judge(parent: list[float], child: list[float], lower_is_better: bool = True) -> Verdict:
+def judge(parent: list[float], child: list[float]) -> Verdict:
     """Pair the i-th run of each side; the claim holds when the working tree
     (``child``) wins at least WIN_SHARE of the pairs and beats the parent's
-    median by more than the parent's interquartile range."""
+    median by more than the parent's interquartile range (lower is better)."""
     if len(parent) != len(child):
         raise ValueError(f"unpaired runs: {len(parent)} parent, {len(child)} child")
-    sign = 1.0 if lower_is_better else -1.0
-    diffs = [sign * (p - c) for p, c in zip(parent, child)]
+    diffs = [p - c for p, c in zip(parent, child)]
     wins = sum(d > 0 for d in diffs)
     losses = sum(d < 0 for d in diffs)
     p, c = summarize(parent), summarize(child)
-    return Verdict(wins, losses, len(diffs) - wins - losses, sign * (p.median - c.median), p.iqr)
+    return Verdict(wins, losses, len(diffs) - wins - losses, p.median - c.median, p.iqr)
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: int) -> dict[str, float]:
+def stop(proc: subprocess.Popen) -> None:
+    """End a run.py started in its own session, and what it started."""
+    try:
+        os.killpg(proc.pid, signal.SIGINT)  # KeyboardInterrupt runs run.py's cleanup
+        proc.wait(timeout=STOP_GRACE_S)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()
+    except ProcessLookupError:
+        proc.wait()
+
+
+def run_once(tree: Path, workload: str, seed: int) -> dict[str, float]:
     cmd = [sys.executable, "benchmarks/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
-    out = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, check=True).stdout
+           "--trace", "0"]
+    proc = subprocess.Popen(cmd, cwd=tree, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            text=True, start_new_session=True)
+    try:
+        out, err = proc.communicate()
+    finally:
+        if proc.returncode is None:
+            stop(proc)
+    if proc.returncode != 0:
+        raise RuntimeError(f"{tree}: run.py exited {proc.returncode}\n{err[-3000:]}")
     result = json.loads(out.strip().splitlines()[-1])
     if not result["correct"] or result["failed"]:
         raise RuntimeError(f"{tree}: the benchmark run reported a failure: {result}")
@@ -96,17 +125,15 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=int, default=50)
     parser.add_argument("--parent", default="HEAD", help="git revision to compare against")
-    parser.add_argument("--metric", default="pipeline_s")
     args = parser.parse_args(argv)
-    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
-    better = {m["name"]: m["better"] for m in declared}
-    if args.metric not in better:
-        parser.error(f"--metric must be one of {sorted(better)}")
 
-    # a terminated run still removes its worktree: SIGTERM unwinds like Ctrl-C
+    # a terminated run still stops run.py and removes its worktree: SIGTERM
+    # unwinds like Ctrl-C. A shell starts background jobs with SIGINT ignored,
+    # and run.py would inherit that; a handled SIGINT is reset to the default
+    # on exec, so stop()'s SIGINT reaches run.py as KeyboardInterrupt.
     signal.signal(signal.SIGTERM, lambda *_: sys.exit(1))
+    signal.signal(signal.SIGINT, signal.default_int_handler)
     runs: dict[str, list[dict[str, float]]] = {"parent": [], "tree": []}
     with tempfile.TemporaryDirectory(prefix="pairs-") as tmp:
         parent_dir = Path(tmp) / "parent"
@@ -117,26 +144,25 @@ def main(argv=None) -> int:
             for i in range(args.pairs):
                 order = ("parent", "tree") if i % 2 == 0 else ("tree", "parent")
                 for side in order:
-                    runs[side].append(run_once(sides[side], args.workload, args.seed,
-                                               args.seconds))
-                print(f"pair {i + 1}: parent {runs['parent'][-1][args.metric]:.4f}  "
-                      f"tree {runs['tree'][-1][args.metric]:.4f}", flush=True)
+                    runs[side].append(run_once(sides[side], args.workload, args.seed))
+                print(f"pair {i + 1}: parent {runs['parent'][-1][METRIC]:.4f}  "
+                      f"tree {runs['tree'][-1][METRIC]:.4f}", flush=True)
         finally:
             subprocess.run(["git", "worktree", "remove", "--force", str(parent_dir)],
                            cwd=ROOT, check=False, capture_output=True)
 
-    print(f"# {args.workload} seed={args.seed} {args.metric}, parent={args.parent}")
-    judged = {side: [r[args.metric] for r in rs] for side, rs in runs.items()}
+    print(f"# {args.workload} seed={args.seed} {METRIC}, parent={args.parent}")
+    judged = {side: [r[METRIC] for r in rs] for side, rs in runs.items()}
     for side, values in judged.items():
         s = summarize(values)
         print(f"{side:6s} runs {' '.join(f'{v:.4f}' for v in values)}")
         print(f"{side:6s} median {s.median:.4f}  q1 {s.q1:.4f}  q3 {s.q3:.4f}  iqr {s.iqr:.4f}")
-    v = judge(judged["parent"], judged["tree"], lower_is_better=better[args.metric] == "lower")
+    v = judge(judged["parent"], judged["tree"])
     print(f"tree wins {v.wins}/{args.pairs} (losses {v.losses}, ties {v.ties}); "
           f"median gap {v.gap:.4f} vs parent iqr {v.parent_iqr:.4f}; "
           f"claim {'holds' if v.holds else 'does not hold'}")
     for name in runs["parent"][0]:
-        if name != args.metric:
+        if name != METRIC:
             cells = []
             for side, rs in runs.items():
                 s = summarize([r[name] for r in rs])
