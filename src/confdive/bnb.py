@@ -156,7 +156,7 @@ def solve(
                 candidates.append((float(c @ snapped), snapped))
         else:
             if config.heuristic_emphasis == "aggressive" or step == 1:
-                dived = _dive_arrays(c, A, b, int_mask, lo_n, hi_n, values)
+                dived = _dive_arrays(c, A, b, int_mask, lo_n, hi_n, values, order)
                 if dived is not None:
                     candidates.append((float(c @ dived), dived))
             j = order[0]
@@ -215,15 +215,17 @@ def _dive_arrays(
     lo: np.ndarray,
     hi: np.ndarray,
     values: np.ndarray,
+    order: list[int],
 ) -> np.ndarray | None:
     """Round fractional integer variables of ``values`` one at a time, most fractional first.
 
-    Committing a rounding changes only that variable, so the order, each
-    variable's preferred and other rounding, and the row slack change of the
-    preferred one are computed once per LP point, and recomputed only after
-    an LP repair. Each variable taken from the order (rounded or repaired)
-    and the final snap is one step against the cap of one step per integer
-    variable plus one.
+    ``order`` is ``_fractional_order(values, int_mask)``, which the caller
+    has already computed. Committing a rounding changes only that variable,
+    so the order, each variable's preferred and other rounding, and the row
+    slack change of the preferred one are computed once per LP point, and
+    recomputed only after an LP repair. Each variable taken from the order
+    (rounded or repaired) and the final snap is one step against the cap of
+    one step per integer variable plus one.
     """
     lo = lo.copy()
     hi = hi.copy()
@@ -232,7 +234,6 @@ def _dive_arrays(
     slack = (b - A @ vals) if rows else np.zeros(0)
     steps = int(int_mask.sum()) + 1
     while True:
-        order = _fractional_order(vals, int_mask)
         if order:
             pref, other, pref_ok, other_ok, shift = _roundings(c, A, lo, hi, vals, order)
         for i, j in enumerate(order):
@@ -259,6 +260,7 @@ def _dive_arrays(
                 return None
             vals = res.primal_values
             slack = (b - A @ vals) if rows else slack
+            order = _fractional_order(vals, int_mask)
             break  # round the new LP point
         else:
             break  # every fractional variable is rounded

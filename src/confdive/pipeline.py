@@ -286,17 +286,23 @@ def collect_solver_config(config: PipelineConfig) -> SolverConfig:
 
 
 def run_collect(config: PipelineConfig) -> list[str]:
-    """Write one pool file per train instance plus a skip manifest; returns skips."""
+    """Write one pool file per train instance plus a skip manifest; returns skips.
+
+    A skipped instance's pool file from an earlier run is deleted, so that
+    ``train`` reads only pools that this run collected.
+    """
     instances = load_split(config, "train")
     solver_config = collect_solver_config(config)
     results = _pmap(_collect_one, [(inst, solver_config) for inst in instances], config.jobs)
     pool_dir = config.out / "pools"
     skipped: list[str] = []
     for path, (name, text, reason) in zip(instance_paths(config, "train"), results):
+        pool_path = pool_dir / (path.stem + ".sol")
         if text is None:
             skipped.append(f"{name} {reason}")
+            pool_path.unlink(missing_ok=True)
         else:
-            _atomic_write(pool_dir / (path.stem + ".sol"), text)
+            _atomic_write(pool_path, text)
     _atomic_write(pool_dir / "skipped.txt", "".join(line + "\n" for line in skipped))
     return skipped
 

@@ -9,12 +9,14 @@ Two paths share one tableau pivot, ``_pivot``:
   row per constraint and one column per variable and slack, with no cap rows
   and no artificials. The slack basis is then dual feasible, so there is no
   phase 1, and the final tableau of an LP over the same rows stays dual
-  feasible after any bound change: each solve returns that tableau
-  (``DualTableau``), and branch and bound starts each child from a copy of
-  its parent's, with no factorization. Every REFACTOR_PIVOTS inherited
-  pivots the tableau is rebuilt from its basis instead; that is the only
-  factorization, since no other basis is ever handed in. The leaving row is
-  the one with the largest bound violation.
+  feasible after any bound change. Each solve returns a ``DualTableau`` (a
+  basis, its tableau and the values of the nonbasic columns) and starts from
+  one through ``_inherit``, which puts each nonbasic column at the bound its
+  reduced cost selects and shifts the basic values to match. That tableau is
+  the parent's in branch and bound, with no factorization; its basis
+  factorized again (``_factorize``) every REFACTOR_PIVOTS inherited pivots;
+  or the slack basis's at a root, or when the basis is singular or no longer
+  dual feasible. The leaving row is the one with the largest bound violation.
 - A two-phase primal simplex with Dantzig pricing for the rest (free
   variables, or a cost that pushes a variable toward an infinite bound).
   Finite ranges become cap rows.
@@ -61,28 +63,28 @@ class NumericalBreakdown(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class DualTableau:
-    """Final state of a dual-path solve, from which an LP over the same rows can start.
+    """State of a dual-path solve: a basis, its tableau and the values of the
+    nonbasic columns, from which an LP over the same rows can start.
 
     The arrays are read-only, since the two children of a branch-and-bound
     node share their parent's tableau; a solve starts from copies.
     """
 
-    #: m x (n + m + 1) tableau over ``[A | I]``; the last column holds the basic values.
+    #: m x (n + m + 1) tableau over ``[A | I]``; the last column holds the
+    #: basic values when the other columns take their ``nonbasic_values``.
     M: np.ndarray
     #: Reduced costs of the n + m columns, then one unused entry.
     costrow: np.ndarray
     #: m column indices into ``[A | I]``.
     basis: np.ndarray
-    #: Nonbasic columns at their upper bound.
-    at_upper: np.ndarray
-    #: Bounds of the n + m columns that the tableau was solved under.
-    lo: np.ndarray
-    hi: np.ndarray
+    #: Value of each of the n + m columns that ``M[:, -1]`` assumes: 0 on the
+    #: basis, the bound the column sits at everywhere else.
+    nonbasic_values: np.ndarray
     #: Pivots taken since the basis was last factorized.
     pivots: int
 
     def __post_init__(self):
-        for a in (self.M, self.costrow, self.basis, self.at_upper, self.lo, self.hi):
+        for a in (self.M, self.costrow, self.basis, self.nonbasic_values):
             a.setflags(write=False)
 
 
@@ -133,10 +135,9 @@ def _solve_lp_arrays(
     ``tableau`` (the ``LpResult.tableau`` of an LP over the same ``c``, ``A``
     and ``b``) starts the dual path from a copy of that final tableau, under
     the new bounds and with no factorization; once it has inherited
-    REFACTOR_PIVOTS pivots, its basis is factorized instead, and a singular
-    or no longer dual feasible basis is replaced by the slack basis. Without
-    a tableau the dual path starts from the slack basis. The primal path
-    ignores the tableau.
+    REFACTOR_PIVOTS pivots, its basis is factorized instead. Without a
+    tableau, or when its basis is singular or no longer dual feasible, the
+    dual path starts from the slack basis. The primal path ignores the tableau.
     """
     if _dual_applies(c, lo, hi):
         return _solve_dual(c, A, b, lo, hi, tableau)
@@ -162,12 +163,12 @@ def _solve_dual(
     # columns: n structural variables, then m slacks s = b - A x >= 0
     lo_f = np.concatenate([lo, np.zeros(m)])
     hi_f = np.concatenate([hi, np.full(m, np.inf)])
-    start = None
-    if tableau is not None and tableau.pivots < REFACTOR_PIVOTS:
+    if tableau is None or tableau.pivots >= REFACTOR_PIVOTS:
+        tableau = _factorize(c, A, b, None if tableau is None else tableau.basis)
+    start = _inherit(tableau, lo_f, hi_f)
+    if start is None:  # the slack basis is dual feasible wherever the dual path applies
+        tableau = _factorize(c, A, b, None)
         start = _inherit(tableau, lo_f, hi_f)
-    inherited = 0 if start is None else tableau.pivots
-    if start is None:  # factorize the tableau's basis, if there is one
-        start = _factorized_start(c, A, b, lo_f, hi_f, None if tableau is None else tableau.basis)
     M, costrow, basis, at_upper = start
     nonbasic = np.ones(n + m, dtype=bool)
     nonbasic[basis] = False
@@ -177,100 +178,66 @@ def _solve_dual(
         if _proves_infeasible(M[p, n:-1], A, b, lo_f, hi_f):
             return LpResult("infeasible", float("inf"), np.full(n, np.nan))
         return _solve_primal(c, A, b, lo, hi)  # the certificate did not survive recomputation
-    full = np.where(at_upper, hi_f, lo_f)
+    nonbasic_values = np.where(at_upper, hi_f, lo_f)
+    nonbasic_values[basis] = 0.0
+    full = nonbasic_values.copy()
     full[basis] = M[:, -1]
     x = full[:n]
     x.clip(lo, hi, out=x)
     _check_rows(A, b, x)
-    final = DualTableau(M, costrow, basis, at_upper, lo_f, hi_f, inherited + pivots)
+    final = DualTableau(M, costrow, basis, nonbasic_values, tableau.pivots + pivots)
     return LpResult("optimal", float(c @ x), x, final)
 
 
-def _factorized_start(
-    c: np.ndarray,
-    A: np.ndarray,
-    b: np.ndarray,
-    lo_f: np.ndarray,
-    hi_f: np.ndarray,
-    basis: np.ndarray | None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Tableau, cost row, basis and bound positions of ``basis``, or of the
-    slack basis when it is None or unusable; the last column holds the basic values."""
+def _factorize(
+    c: np.ndarray, A: np.ndarray, b: np.ndarray, basis: np.ndarray | None
+) -> DualTableau:
+    """The tableau of ``basis`` with every nonbasic column at 0, or that of the
+    slack basis when ``basis`` is None, singular or ill-conditioned."""
     m, n = A.shape
-    c_f = np.concatenate([c, np.zeros(m)])
     K = np.empty((m, n + m + 1))
     K[:, :n] = A
     K[:, n:-1] = np.eye(m)
     K[:, -1] = b
-    start = None if basis is None else _warm_start(K, c_f, lo_f, hi_f, basis)
-    if start is None:
-        slack = np.arange(n, n + m)
-        start = K, np.append(c_f, 0.0), slack, _at_upper(c_f, lo_f, hi_f)
-    M, _, basis, at_upper = start
-    # the last column holds the basic values once the nonbasic ones are moved out
-    at_bound = np.where(at_upper, hi_f, lo_f)
-    at_bound[basis] = 0.0
-    M[:, -1] -= M[:, :-1] @ at_bound
-    return start
+    costrow = np.concatenate([c, np.zeros(m + 1)])
+    if basis is not None:
+        try:
+            M = np.linalg.solve(K[:, basis], K)
+        except np.linalg.LinAlgError:
+            M = None
+        if M is not None and np.all(np.abs(M[:, :-1]) <= WARM_START_GROWTH_LIMIT):  # also rejects nan
+            basis = basis.copy()  # a tableau's basis is read-only, and the pivots write to it
+            M[:, basis] = np.eye(m)
+            costrow -= costrow[basis] @ M
+            costrow[basis] = 0.0
+            return DualTableau(M, costrow, basis, np.zeros(n + m), 0)
+    return DualTableau(K, costrow, np.arange(n, n + m), np.zeros(n + m), 0)
 
 
 def _inherit(
     tableau: DualTableau, lo_f: np.ndarray, hi_f: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
-    """A copy of ``tableau`` under the bounds ``lo_f``, ``hi_f``; None if no longer dual feasible.
+    """Tableau, cost row, basis and upper-bound mask that start a solve from a
+    copy of ``tableau`` under the bounds ``lo_f``, ``hi_f``; None if its basis
+    is not dual feasible under them.
 
     The basis and reduced costs stay, so each nonbasic column goes to the
-    bound its reduced cost selects under the new bounds, and the basic values
-    shift by ``M[:, j]`` times each such move.
+    bound its reduced cost selects, and the basic values shift by ``M[:, j]``
+    times each column's move from its ``nonbasic_values`` entry.
     """
-    at_upper = _at_upper(tableau.costrow[:-1], lo_f, hi_f)
-    if at_upper is None:
+    # a column with a negative reduced cost goes to its upper bound (basic ones
+    # have 0); the basis is not dual feasible if that bound is infinite
+    at_upper = (tableau.costrow[:-1] < -OPTIMALITY_TOL) & (lo_f < hi_f)
+    if not np.isfinite(hi_f[at_upper]).all():
         return None
     delta = np.where(at_upper, hi_f, lo_f)
-    delta -= np.where(tableau.at_upper, tableau.hi, tableau.lo)
     delta[tableau.basis] = 0.0
+    delta -= tableau.nonbasic_values
     moved = delta.nonzero()[0]
     M = tableau.M.copy()
     if moved.size:
         M[:, -1] -= M[:, moved] @ delta[moved]
     return M, tableau.costrow.copy(), tableau.basis.copy(), at_upper
-
-
-def _at_upper(d: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray | None:
-    """Columns whose reduced cost puts them at their upper bound (basic ones have d = 0).
-
-    Returns None when a negative reduced cost meets an infinite upper bound,
-    i.e. the basis is not dual feasible.
-    """
-    up = (d < -OPTIMALITY_TOL) & (lo < hi)
-    if not np.isfinite(hi[up]).all():
-        return None
-    return up
-
-
-def _warm_start(
-    K: np.ndarray, c_f: np.ndarray, lo_f: np.ndarray, hi_f: np.ndarray, basis: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
-    """Tableau, cost row, basis and bound positions for ``basis``, the basis of
-    a ``DualTableau``; None if it is singular, ill-conditioned or not dual feasible.
-
-    ``K`` is ``[A | I | b]``; ``c_f``, ``lo_f`` and ``hi_f`` cover its columns.
-    """
-    m = K.shape[0]
-    try:
-        M = np.linalg.solve(K[:, basis], K)
-    except np.linalg.LinAlgError:
-        return None
-    if not np.all(np.abs(M[:, :-1]) <= WARM_START_GROWTH_LIMIT):  # also rejects nan
-        return None
-    basis = basis.copy()  # a tableau's basis is read-only, and the pivots write to it
-    M[:, basis] = np.eye(m)
-    costrow = np.append(c_f, 0.0) - c_f[basis] @ M
-    costrow[basis] = 0.0
-    at_upper = _at_upper(costrow[:-1], lo_f, hi_f)
-    if at_upper is None:
-        return None
-    return M, costrow, basis, at_upper
 
 
 def _dual_pivot_until_feasible(

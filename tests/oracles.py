@@ -102,9 +102,11 @@ def rescan_dive_arrays(
     lo: np.ndarray,
     hi: np.ndarray,
     values: np.ndarray,
+    order: list[int],
 ) -> np.ndarray | None:
     """Reference for ``bnb._dive_arrays``: rescans every variable for the most
-    fractional one before each rounding, where the fast path sorts once per LP point."""
+    fractional one before each rounding, where the fast path sorts once per LP
+    point. It takes the same arguments, and ignores ``order``."""
     lo = lo.copy()
     hi = hi.copy()
     vals = values.copy()
@@ -133,7 +135,8 @@ def rescan_dive_arrays(
             preferred = math.floor(vals[j])
         else:
             preferred = math.floor(vals[j]) + (0 if c[j] >= 0 else 1)
-        j_lo, j_hi = math.ceil(lo[j] - FEAS_TOL), math.floor(hi[j] + FEAS_TOL)
+        # in float, so an infinite bound stays infinite; + 0.0 turns -0.0 into 0.0
+        j_lo, j_hi = np.ceil(lo[j] - FEAS_TOL) + 0.0, np.floor(hi[j] + FEAS_TOL) + 0.0
         preferred = min(max(preferred, j_lo), j_hi)
         other = preferred + 1 if preferred <= vals[j] else preferred - 1
         committed = False

@@ -107,9 +107,24 @@ def _arrays(inst, fixings=None):
     return (inst.objective_vector(), *inst.dense_matrix(), inst.integer_mask(), lo, hi)
 
 
+def _dive_args(args, point):
+    """``_arrays`` followed by the point to dive from and its fractional order."""
+    point = np.asarray(point, dtype=np.float64)
+    return (*args, point, bnb._fractional_order(point, args[3]))
+
+
 def _dive(inst, point, fixings=None):
     """``bnb._dive_arrays`` on an instance from ``point``: the dived values, or None."""
-    return bnb._dive_arrays(*_arrays(inst, fixings), np.asarray(point, dtype=np.float64))
+    return bnb._dive_arrays(*_dive_args(_arrays(inst, fixings), point))
+
+
+#: 2x + 2y >= 3 over nonnegative integers, neither with an upper bound.
+OPEN = MilpInstance(
+    "open",
+    (VarDef("x", "integer", 0.0, float("inf"), 1.0),
+     VarDef("y", "integer", 0.0, float("inf"), 1.0)),
+    (ConstraintDef("r", ((0, -2.0), (1, -2.0)), -3.0),),
+)
 
 
 class TestDive:
@@ -143,16 +158,10 @@ class TestDive:
             _dive(inst, np.full(12, 0.5), fixings)
 
     def test_integer_variable_without_upper_bound(self):
-        # 2x + 2y >= 3 over nonnegative integers: x = 1.5 rounds up to 2 though
-        # its range has no upper end, and the tree proves that optimal
-        inst = MilpInstance(
-            "open",
-            (VarDef("x", "integer", 0.0, float("inf"), 1.0),
-             VarDef("y", "integer", 0.0, float("inf"), 1.0)),
-            (ConstraintDef("r", ((0, -2.0), (1, -2.0)), -3.0),),
-        )
-        assert np.array_equal(_dive(inst, [1.5, 0.0]), [2.0, 0.0])
-        traj, _ = solve(inst, {}, SolverConfig(step_limit=20, heuristic_emphasis="aggressive"))
+        # x = 1.5 rounds up to 2 though its range has no upper end, and the
+        # tree proves that optimal
+        assert np.array_equal(_dive(OPEN, [1.5, 0.0]), [2.0, 0.0])
+        traj, _ = solve(OPEN, {}, SolverConfig(step_limit=20, heuristic_emphasis="aggressive"))
         assert traj.proved_optimal and traj.final_objective() == 2.0
 
     def test_random_covering_dives_feasible(self):
@@ -205,8 +214,9 @@ class TestDiveMatchesRescanReference:
             if res.status != "optimal":
                 continue
             dives += 1
-            expected = rescan_dive_arrays(*args, res.primal_values)
-            assert _same_result(bnb._dive_arrays(*args, res.primal_values), expected), seed
+            dive_args = _dive_args(args, res.primal_values)
+            expected = rescan_dive_arrays(*dive_args)
+            assert _same_result(bnb._dive_arrays(*dive_args), expected), seed
         assert dives >= 8
 
     @pytest.mark.parametrize("family", ["covering", "knapsack"])
@@ -218,8 +228,9 @@ class TestDiveMatchesRescanReference:
             inst = generate_covering(seed, 16, 8) if family == "covering" else generate_knapsack(seed, 16, 2)
             args = _arrays(inst, {0: seed % 2} if seed % 3 == 0 else None)
             point = np.random.default_rng(seed).integers(0, 5, 16) / 4.0
-            expected = rescan_dive_arrays(*args, point)
-            assert _same_result(bnb._dive_arrays(*args, point), expected), seed
+            dive_args = _dive_args(args, point)
+            expected = rescan_dive_arrays(*dive_args)
+            assert _same_result(bnb._dive_arrays(*dive_args), expected), seed
         assert counts["calls"] > 0 and counts["fractional_after"] > 0
 
     def test_equality_row_forces_a_repair(self, monkeypatch):
@@ -231,11 +242,11 @@ class TestDiveMatchesRescanReference:
             (ConstraintDef("le", ((0, 1.0), (1, 1.0)), 1.0), ConstraintDef("ge", ((0, -1.0), (1, -1.0)), -1.0)),
         )
         counts = _counting_lp(monkeypatch, inst.integer_mask())
-        point = np.array([0.5, 0.5])
-        got = bnb._dive_arrays(*_arrays(inst), point)
+        args = _dive_args(_arrays(inst), [0.5, 0.5])
+        got = bnb._dive_arrays(*args)
         assert counts["calls"] == 1
         assert np.array_equal(got, [0.0, 1.0])
-        assert _same_result(got, rescan_dive_arrays(*_arrays(inst), point))
+        assert _same_result(got, rescan_dive_arrays(*args))
 
     def test_mixed_integer_point_reaches_the_snap_lp(self, monkeypatch):
         # x is within INT_TOL of 1, so it is not rounded; snapping it breaks x + y <= 1
@@ -246,11 +257,17 @@ class TestDiveMatchesRescanReference:
             (ConstraintDef("cap", ((0, 1.0), (1, 1.0)), 1.0),),
         )
         counts = _counting_lp(monkeypatch, inst.integer_mask())
-        point = np.array([1.0 - 5e-7, 5e-7])
-        got = bnb._dive_arrays(*_arrays(inst), point)
+        args = _dive_args(_arrays(inst), [1.0 - 5e-7, 5e-7])
+        got = bnb._dive_arrays(*args)
         assert counts["calls"] == 1
         assert np.array_equal(got, [1.0, 0.0])
-        assert _same_result(got, rescan_dive_arrays(*_arrays(inst), point))
+        assert _same_result(got, rescan_dive_arrays(*args))
+
+    def test_integer_variable_without_upper_bound(self):
+        args = _dive_args(_arrays(OPEN), [1.5, 0.0])
+        got = bnb._dive_arrays(*args)
+        assert np.array_equal(got, [2.0, 0.0])
+        assert _same_result(got, rescan_dive_arrays(*args))
 
 
 def test_fractional_order_most_fractional_first_ties_to_lowest_index():

@@ -138,9 +138,12 @@ class TestPipelineChain:
         assert trees[1] == trees[0]
 
     def test_infeasible_train_instance_is_skipped(self, workdir):
+        # a pool collected before the instance changed must not outlive it
         tmp, cfg = workdir
         main(["generate", "--config", str(cfg)])
+        assert main(["collect", "--config", str(cfg)]) == 0
         bad = tmp / "out" / "instances" / "train" / "train_0001.milp"
+        assert (tmp / "out" / "pools" / "train_0001.sol").exists()
         # the cover row needs three of its two variables
         bad.write_text("NAME overcover\nVAR x0 binary 0 1 1\nVAR x1 binary 0 1 1\n"
                        "CON c ge 3 0:1 1:1\n")

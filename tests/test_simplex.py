@@ -202,18 +202,20 @@ def refactorizing(basis):
     """A tableau that has taken REFACTOR_PIVOTS pivots: a solve from it reads
     only ``basis``, which it factorizes."""
     unread = np.zeros(0)
-    return simplex.DualTableau(M=unread, costrow=unread, basis=np.array(basis), at_upper=unread,
-                               lo=unread, hi=unread, pivots=simplex.REFACTOR_PIVOTS)
+    return simplex.DualTableau(M=unread, costrow=unread, basis=np.array(basis),
+                               nonbasic_values=unread, pivots=simplex.REFACTOR_PIVOTS)
 
 
-def warm_start_chains(count):
+def warm_start_chains(count, shift=0.0):
     """Walk down a branch of each seeded LP, one fixing per step, each LP
     starting from its parent's final tableau: yields (c, A, b, lo, hi, parent
-    tableau), the tableau None at the root."""
+    tableau), the tableau None at the root. ``shift`` moves every variable's
+    bounds, and so the rows' right-hand sides, up by that much."""
     rng = np.random.default_rng(11)
     for c, A, b, lo, hi in seeded_lps(count):
         # fixing a covering variable to 0, or a knapsack item to 1, tightens the LP
-        value = 0.0 if np.all(b < 0) else 1.0
+        value = (0.0 if np.all(b < 0) else 1.0) + shift
+        b, lo, hi = b + A.sum(axis=1) * shift, lo + shift, hi + shift
         parent = None
         while True:
             yield c, A, b, lo, hi, parent and parent.tableau
@@ -250,7 +252,7 @@ def test_inherited_start_moves_a_nonbasic_column_to_its_new_bound():
     for seed in range(6):
         c, A, b, lo, hi = lp_arrays(generate_knapsack(600 + seed, 30, 2))
         parent = _solve_lp_arrays(c, A, b, lo, hi)
-        for j in np.flatnonzero(parent.tableau.at_upper[: c.size]):
+        for j in np.flatnonzero(parent.tableau.nonbasic_values[: c.size] == hi):
             clo, chi = lo.copy(), hi.copy()
             clo[j] = chi[j] = 0.0
             child = _solve_lp_arrays(c, A, b, clo, chi, tableau=parent.tableau)
@@ -261,8 +263,8 @@ def test_inherited_start_moves_a_nonbasic_column_to_its_new_bound():
 
 
 def tableau_bytes(tableau):
-    return [a.tobytes() for a in (tableau.M, tableau.costrow, tableau.basis, tableau.at_upper,
-                                  tableau.lo, tableau.hi)]
+    return [a.tobytes() for a in (tableau.M, tableau.costrow, tableau.basis,
+                                  tableau.nonbasic_values)]
 
 
 def test_siblings_solve_the_same_in_either_order_and_leave_the_parent_unchanged():
@@ -293,7 +295,7 @@ def test_siblings_solve_the_same_in_either_order_and_leave_the_parent_unchanged(
 
 def test_inherited_chains_match_when_every_tableau_is_refactorized(monkeypatch):
     monkeypatch.setattr(simplex, "REFACTOR_PIVOTS", 1)
-    factorizations = count_calls(monkeypatch, "_warm_start")
+    factorizations = count_calls(monkeypatch, "_factorize")
     pivots = count_calls(monkeypatch, "_pivot")
     refactorized = 0
     for c, A, b, lo, hi, tableau in warm_start_chains(20):
@@ -303,13 +305,45 @@ def test_inherited_chains_match_when_every_tableau_is_refactorized(monkeypatch):
         pivots.clear()
         got = _solve_lp_arrays(c, A, b, lo, hi, tableau=tableau)
         inherited = 0 if factorizations else tableau.pivots
-        assert len(factorizations) == (tableau.pivots >= 1)
-        refactorized += len(factorizations)
+        of_a_basis = sum(args[3] is not None for args in factorizations)  # not the slack basis
+        assert of_a_basis == (tableau.pivots >= 1)
+        refactorized += of_a_basis
         if got.status == "optimal":
             assert got.tableau.pivots == inherited + len(pivots)
         assert_same_answer(got, _solve_lp_arrays(c, A, b, lo, hi))
         assert_same_answer(got, simplex._solve_primal(c, A, b, lo, hi))
     assert refactorized >= 100
+
+
+@pytest.mark.parametrize("shift", [0.0, 1.0])
+@pytest.mark.parametrize("refactor_pivots", [simplex.REFACTOR_PIVOTS, 1])
+def test_final_tableau_holds_the_point_of_its_basic_values(monkeypatch, refactor_pivots, shift):
+    """Down each chain, with inherited or (at REFACTOR_PIVOTS = 1) factorized
+    starts: the final nonbasic values are 0 on the basis and the solve's lower
+    or upper bound elsewhere, and with the basic values they make [x, b - A x].
+    A shift of 1 puts no structural lower bound at 0."""
+    monkeypatch.setattr(simplex, "REFACTOR_PIVOTS", refactor_pivots)
+    factorizations = count_calls(monkeypatch, "_factorize")
+    checked = 0
+    for c, A, b, lo, hi, tableau in warm_start_chains(20, shift):
+        res = _solve_lp_arrays(c, A, b, lo, hi, tableau=tableau)
+        if res.status != "optimal":
+            continue
+        T, (m, n) = res.tableau, A.shape
+        lo_f, hi_f = np.append(lo, np.zeros(m)), np.append(hi, np.full(m, np.inf))
+        nonbasic = np.ones(n + m, dtype=bool)
+        nonbasic[T.basis] = False
+        values = T.nonbasic_values
+        assert not values[T.basis].any()
+        assert np.all((values == lo_f) | (values == hi_f) | ~nonbasic)
+        full = values.copy()
+        full[T.basis] = T.M[:, -1]
+        assert np.max(np.abs(full[n:] - (b - A @ full[:n])), initial=0.0) <= 1e-9
+        assert np.array_equal(np.clip(full[:n], lo, hi), res.primal_values)
+        checked += 1
+    assert checked >= 100
+    refactorized = sum(args[3] is not None for args in factorizations)
+    assert refactorized >= 100 if refactor_pivots == 1 else refactorized == 0
 
 
 def test_deep_inherited_chain_stays_close_to_a_fresh_factorization(monkeypatch):
@@ -337,8 +371,7 @@ def test_deep_inherited_chain_stays_close_to_a_fresh_factorization(monkeypatch):
             break
         res, depth = child, depth + 1
         T = res.tableau
-        full = np.where(T.at_upper, T.hi, T.lo)
-        full[T.basis] = 0.0
+        full = T.nonbasic_values.copy()
         full[T.basis] = np.linalg.solve(AI[:, T.basis], b - AI @ full)
         assert np.max(np.abs(np.clip(full[:n], lo, hi) - res.primal_values)) <= 1e-9
     assert depth >= 40 and res.tableau.pivots >= 2 * limit
@@ -375,13 +408,11 @@ def test_unusable_basis_falls_back_to_slack_start(bad):
     n += 1
     slack = np.arange(n, n + m)
     basis = np.concatenate([[0, n - 1], slack[2:]])
-    K = np.column_stack([A, np.eye(m), b])
-    c_f = np.concatenate([c, np.zeros(m)])
-    lo_f, hi_f = np.concatenate([lo, np.zeros(m)]), np.concatenate([hi, np.full(m, np.inf)])
     if bad == "near_singular":
+        K = np.column_stack([A, np.eye(m), b])
         growth = np.max(np.abs(np.linalg.solve(K[:, basis], K)))
         assert growth > simplex.WARM_START_GROWTH_LIMIT
-    assert simplex._warm_start(K, c_f, lo_f, hi_f, basis) is None
+    assert np.array_equal(simplex._factorize(c, A, b, basis).basis, slack)
     cold = _solve_lp_arrays(c, A, b, lo, hi)
     warm = _solve_lp_arrays(c, A, b, lo, hi, tableau=refactorizing(basis))
     assert warm.status == cold.status == "optimal"
@@ -398,10 +429,9 @@ def test_dual_infeasible_basis_falls_back_to_slack_start():
         (ConstraintDef("r", ((0, 1.0), (1, 1.0)), 1.0),),
     )
     c, A, b, lo, hi = lp_arrays(inst)
-    K = np.column_stack([A, np.eye(1), b])
-    c_f, lo_f, hi_f = np.append(c, 0.0), np.append(lo, 0.0), np.append(hi, np.inf)
-    assert simplex._warm_start(K, c_f, lo_f, hi_f, np.array([0])) is None
-    assert simplex._warm_start(K, c_f, lo_f, hi_f, np.array([2])) is not None
+    lo_f, hi_f = np.append(lo, 0.0), np.append(hi, np.inf)
+    assert simplex._inherit(simplex._factorize(c, A, b, np.array([0])), lo_f, hi_f) is None
+    assert simplex._inherit(simplex._factorize(c, A, b, np.array([2])), lo_f, hi_f) is not None
     res = _solve_lp_arrays(c, A, b, lo, hi, tableau=refactorizing([0]))
     assert res.status == "optimal" and res.objective == 0.0 and list(res.tableau.basis) == [2]
 

@@ -25,6 +25,7 @@ Each side writes its own ``.bench_out/``; nothing is written under
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import signal
@@ -34,6 +35,7 @@ import sys
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 
 ROOT = Path(__file__).resolve().parent.parent
 #: The judged metric; lower is better.
@@ -102,6 +104,20 @@ def stop(proc: subprocess.Popen) -> None:
         proc.wait()
 
 
+@contextlib.contextmanager
+def worktree(revision: str) -> Iterator[Path]:
+    """A temporary detached ``git worktree`` of ``revision``, removed on exit."""
+    with tempfile.TemporaryDirectory(prefix="worktree-") as tmp:
+        path = Path(tmp) / "parent"
+        subprocess.run(["git", "worktree", "add", "--detach", str(path), revision],
+                       cwd=ROOT, check=True, capture_output=True)
+        try:
+            yield path
+        finally:
+            subprocess.run(["git", "worktree", "remove", "--force", str(path)],
+                           cwd=ROOT, check=False, capture_output=True)
+
+
 def run_once(tree: Path, workload: str, seed: int) -> dict[str, float]:
     cmd = [sys.executable, "benchmarks/run.py", "--workload", workload, "--seed", str(seed),
            "--trace", "0"]
@@ -135,21 +151,14 @@ def main(argv=None) -> int:
     signal.signal(signal.SIGTERM, lambda *_: sys.exit(1))
     signal.signal(signal.SIGINT, signal.default_int_handler)
     runs: dict[str, list[dict[str, float]]] = {"parent": [], "tree": []}
-    with tempfile.TemporaryDirectory(prefix="pairs-") as tmp:
-        parent_dir = Path(tmp) / "parent"
-        subprocess.run(["git", "worktree", "add", "--detach", str(parent_dir), args.parent],
-                       cwd=ROOT, check=True, capture_output=True)
-        try:
-            sides = {"parent": parent_dir, "tree": ROOT}
-            for i in range(args.pairs):
-                order = ("parent", "tree") if i % 2 == 0 else ("tree", "parent")
-                for side in order:
-                    runs[side].append(run_once(sides[side], args.workload, args.seed))
-                print(f"pair {i + 1}: parent {runs['parent'][-1][METRIC]:.4f}  "
-                      f"tree {runs['tree'][-1][METRIC]:.4f}", flush=True)
-        finally:
-            subprocess.run(["git", "worktree", "remove", "--force", str(parent_dir)],
-                           cwd=ROOT, check=False, capture_output=True)
+    with worktree(args.parent) as parent_dir:
+        sides = {"parent": parent_dir, "tree": ROOT}
+        for i in range(args.pairs):
+            order = ("parent", "tree") if i % 2 == 0 else ("tree", "parent")
+            for side in order:
+                runs[side].append(run_once(sides[side], args.workload, args.seed))
+            print(f"pair {i + 1}: parent {runs['parent'][-1][METRIC]:.4f}  "
+                  f"tree {runs['tree'][-1][METRIC]:.4f}", flush=True)
 
     print(f"# {args.workload} seed={args.seed} {METRIC}, parent={args.parent}")
     judged = {side: [r[METRIC] for r in rs] for side, rs in runs.items()}
