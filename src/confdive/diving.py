@@ -17,7 +17,7 @@ import numpy as np
 
 from . import bnb
 from .bnb import IncumbentTrajectory, InfeasibleSubproblem, SolverConfig
-from .encoder import BipartiteGraph, encode
+from .encoder import encode
 from .evaluation import eval_configs, primal_integral
 from .gcnn import GcnnModel, forward
 from .instances import MilpInstance
@@ -95,21 +95,18 @@ def dive_and_solve(
     t: float,
     config: SolverConfig,
     *,
-    graph: BipartiteGraph | None = None,
     probs: np.ndarray | None = None,
 ) -> tuple[IncumbentTrajectory, DiveOutcome]:
     """Fix by threshold, solve, and rerun unfixed on infeasibility.
 
     The returned trajectory is the executed run's: the fixed run when it is
     feasible, otherwise the fallback run alone (with the full step budget).
-    ``graph``/``probs`` can be passed to reuse a cached encoding.
+    ``probs``, one per binary variable, can be passed to reuse a forward pass.
     """
-    if graph is None:
-        graph = encode(instance)
     if probs is None:
-        probs = forward(model, graph)
+        probs = forward(model, encode(instance))
     partial = fix_by_threshold(probs, t)
-    fixings = to_instance_fixings(partial, graph.binary_mask)
+    fixings = to_instance_fixings(partial, instance.binary_mask())
     try:
         trajectory, _ = bnb.solve(instance, fixings, config)
         return trajectory, DiveOutcome(False, partial)
@@ -123,11 +120,8 @@ def _instance_cells(
 ) -> list[tuple[IncumbentTrajectory, DiveOutcome]]:
     """All thresholds for one instance; top-level so process pools can pick it up."""
     instance, model, ts, config = args
-    graph = encode(instance)
-    probs = forward(model, graph)
-    return [
-        dive_and_solve(instance, model, t, config, graph=graph, probs=probs) for t in ts
-    ]
+    probs = forward(model, encode(instance))
+    return [dive_and_solve(instance, model, t, config, probs=probs) for t in ts]
 
 
 def grid_search(

@@ -508,23 +508,28 @@ def load_model(text: str) -> GcnnModel:
     version = _int_field(header[1], "model format version")
     if version != MODEL_FORMAT_VERSION:
         raise ValueError(f"unsupported model format version {version}")
+    keys = ("hidden_dim", "f_var", "f_con")
     meta: dict[str, int] = {}
     i = 1
     while i < len(lines) and not lines[i].startswith("PARAM"):
         parts = lines[i].split()
-        if len(parts) != 2:
-            raise ValueError(f"expected '<key> <integer>' in the model header, got {lines[i]!r}")
+        if len(parts) != 2 or parts[0] not in keys or parts[0] in meta:
+            raise ValueError(f"expected one '<key> <integer>' line per key of {keys} "
+                             f"in the model header, got {lines[i]!r}")
         meta[parts[0]] = _int_field(parts[1], f"model header {parts[0]}")
         i += 1
-    missing = [key for key in ("hidden_dim", "f_var", "f_con") if key not in meta]
+    missing = [key for key in keys if key not in meta]
     if missing:
         raise ValueError(f"model header misses {', '.join(missing)}")
+    shapes = _block_shapes(meta["f_var"], meta["f_con"], meta["hidden_dim"])
     arrays: dict[str, np.ndarray] = {}
     while i < len(lines):
         tokens = lines[i].split()
         if tokens[0] != "PARAM" or len(tokens) not in (3, 4):
             raise ValueError(f"expected PARAM <name> <shape>, got {lines[i]!r}")
         name = tokens[1]
+        if name in arrays or name not in {f"{block}.{p}" for block in shapes for p in "wb"}:
+            raise ValueError(f"unknown or repeated parameter {name!r}")
         shape = tuple(_int_field(t, f"shape of parameter {name}") for t in tokens[2:])
         n_lines = shape[0] if len(shape) == 2 else 1  # a matrix has one line per row
         if i + n_lines >= len(lines):
@@ -538,7 +543,6 @@ def load_model(text: str) -> GcnnModel:
             raise ValueError(f"parameter {name} has shape {arr.shape}, expected {shape}")
         i += 1 + n_lines
         arrays[name] = arr
-    shapes = _block_shapes(meta["f_var"], meta["f_con"], meta["hidden_dim"])
     blocks = {}
     for name, (fan_in, fan_out) in shapes.items():
         try:

@@ -212,9 +212,9 @@ def check_feasibility(
     bound_tol: float = 1e-9,
     int_tol: float = 1e-6,
 ) -> bool:
-    """True iff ``values`` satisfies rows, bounds, and integrality within tolerances."""
+    """True iff ``values`` is finite and satisfies rows, bounds, and integrality within tolerances."""
     values = np.asarray(values, dtype=np.float64)
-    if values.shape != (instance.n,):
+    if values.shape != (instance.n,) or not np.isfinite(values).all():
         return False
     lb, ub = instance.bounds_arrays()
     if np.any(values < lb - bound_tol) or np.any(values > ub + bound_tol):

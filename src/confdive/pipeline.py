@@ -11,9 +11,10 @@ from __future__ import annotations
 import os
 import re
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from . import bnb
 from .bnb import IncumbentTrajectory, InfeasibleSubproblem, SolverConfig
@@ -199,12 +200,17 @@ def _atomic_write(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
+@contextmanager
+def _mapper(jobs: int) -> Iterator[Callable]:
+    """``map``, or the map of a pool of ``jobs`` processes when ``jobs`` > 1."""
+    with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
+        yield map if pool is None else pool.map
+
+
 def _pmap(fn: Callable, items: Iterable, jobs: int) -> list:
     items = list(items)
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
+    with _mapper(min(jobs, len(items))) as map_fn:
+        return list(map_fn(fn, items))
 
 
 # ---------------------------------------------------------------------------
@@ -384,18 +390,8 @@ def run_gridsearch(config: PipelineConfig):
     if not instances:
         raise UsageError("validation split is empty")
     model = load_trained_model(config)
-    map_fn = map
-    pool = None
-    if config.jobs > 1:
-        pool = ProcessPoolExecutor(max_workers=config.jobs)
-        map_fn = pool.map
-    try:
-        report = grid_search(
-            instances, model, config.grid, eval_solver_config(config), map_fn=map_fn
-        )
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    with _mapper(min(config.jobs, len(instances))) as map_fn:
+        report = grid_search(instances, model, config.grid, eval_solver_config(config), map_fn=map_fn)
     _atomic_write(config.out / "gridsearch.csv", report_to_csv(report))
     return report
 

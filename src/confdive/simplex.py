@@ -26,11 +26,11 @@ degenerate pivots, and raise NumericalBreakdown at the iteration limit.
 Feasibility tolerance 1e-7, optimality tolerance 1e-9. Instances at desk
 scale (a few hundred variables) need no sparse machinery.
 
-The dual pivot loop is written for few numpy calls per pivot, but it does the
-floating-point operations of its reference in ``tests/oracles.py``
-(``mask_dual_pivot_until_feasible``) in the same order, so it takes the same
-pivots and reaches the same bytes; ``_pivot`` is the only tableau update on
-either path.
+The dual pivot loop keeps the nonbasic point that a ``DualTableau`` stores,
+with few numpy calls per pivot, but it does the floating-point operations of
+its reference ``tests/oracles.py:mask_dual_pivot_until_feasible`` in the same
+order, so it takes the same pivots and reaches the same bytes; ``_pivot`` is
+the only tableau update on either path.
 """
 
 from __future__ import annotations
@@ -169,17 +169,12 @@ def _solve_dual(
     if start is None:  # the slack basis is dual feasible wherever the dual path applies
         tableau = _factorize(c, A, b, None)
         start = _inherit(tableau, lo_f, hi_f)
-    M, costrow, basis, at_upper = start
-    nonbasic = np.ones(n + m, dtype=bool)
-    nonbasic[basis] = False
-
-    p, pivots = _dual_pivot_until_feasible(M, costrow, basis, at_upper, nonbasic, lo_f, hi_f)
+    M, costrow, basis, nonbasic_values, direction = start
+    p, pivots = _dual_pivot_until_feasible(M, costrow, basis, nonbasic_values, direction, lo_f, hi_f)
     if p is not None:
         if _proves_infeasible(M[p, n:-1], A, b, lo_f, hi_f):
             return LpResult("infeasible", float("inf"), np.full(n, np.nan))
         return _solve_primal(c, A, b, lo, hi)  # the certificate did not survive recomputation
-    nonbasic_values = np.where(at_upper, hi_f, lo_f)
-    nonbasic_values[basis] = 0.0
     full = nonbasic_values.copy()
     full[basis] = M[:, -1]
     x = full[:n]
@@ -216,36 +211,40 @@ def _factorize(
 
 def _inherit(
     tableau: DualTableau, lo_f: np.ndarray, hi_f: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
-    """Tableau, cost row, basis and upper-bound mask that start a solve from a
-    copy of ``tableau`` under the bounds ``lo_f``, ``hi_f``; None if its basis
-    is not dual feasible under them.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
+    """Tableau, cost row, basis, nonbasic values and entering directions that
+    start a solve from a copy of ``tableau`` under the bounds ``lo_f``,
+    ``hi_f``; None if its basis is not dual feasible under them.
 
     The basis and reduced costs stay, so each nonbasic column goes to the
     bound its reduced cost selects, and the basic values shift by ``M[:, j]``
-    times each column's move from its ``nonbasic_values`` entry.
+    times each column's move from its ``nonbasic_values`` entry. The new
+    values are 0 on the basis. A column's direction is -1 at the upper bound,
+    +1 at the lower one, and 0 where it is basic or fixed.
     """
     # a column with a negative reduced cost goes to its upper bound (basic ones
     # have 0); the basis is not dual feasible if that bound is infinite
     at_upper = (tableau.costrow[:-1] < -OPTIMALITY_TOL) & (lo_f < hi_f)
     if not np.isfinite(hi_f[at_upper]).all():
         return None
-    delta = np.where(at_upper, hi_f, lo_f)
-    delta[tableau.basis] = 0.0
-    delta -= tableau.nonbasic_values
+    values = np.where(at_upper, hi_f, lo_f)
+    values[tableau.basis] = 0.0
+    delta = values - tableau.nonbasic_values
     moved = delta.nonzero()[0]
     M = tableau.M.copy()
     if moved.size:
         M[:, -1] -= M[:, moved] @ delta[moved]
-    return M, tableau.costrow.copy(), tableau.basis.copy(), at_upper
+    direction = np.where(at_upper, -1.0, lo_f < hi_f)  # 1.0 where free, 0.0 where fixed
+    direction[tableau.basis] = 0.0
+    return M, tableau.costrow.copy(), tableau.basis.copy(), values, direction
 
 
 def _dual_pivot_until_feasible(
     M: np.ndarray,
     costrow: np.ndarray,
     basis: np.ndarray,
-    at_upper: np.ndarray,
-    nonbasic: np.ndarray,
+    nonbasic_values: np.ndarray,
+    direction: np.ndarray,
     lo: np.ndarray,
     hi: np.ndarray,
 ) -> tuple[int | None, int]:
@@ -253,16 +252,13 @@ def _dual_pivot_until_feasible(
 
     Returns ``(row, pivots)``: the row is None at the optimum, or one whose
     basic variable cannot reach its bounds, which proves the LP infeasible.
-    ``nonbasic`` is read once, before the first pivot.
+    Keeps ``_inherit``'s ``nonbasic_values`` and ``direction`` up to date.
     """
     if not M.shape[0]:
         return None, 0
     # A column may enter where direction * alpha exceeds PIVOT_TOL, alpha the
-    # pivot row negated when the leaving value drops to its lower bound: the
-    # direction is -1 at the upper bound, +1 at the lower one, and 0 where the
-    # column may not enter (basic, or fixed), which never passes.
-    direction = np.where(at_upper, -1.0, 1.0)
-    direction[~(nonbasic & (lo < hi))] = 0.0
+    # pivot row negated when the leaving value drops to its lower bound; a
+    # basic or fixed column has direction 0, which never passes.
     toward = np.empty_like(direction)
     lo_b, hi_b = lo[basis], hi[basis]
     above, violation = np.empty_like(lo_b), np.empty_like(lo_b)
@@ -304,14 +300,13 @@ def _dual_pivot_until_feasible(
         else:
             degenerate = 0
         leaving = int(basis[p])
-        entering_value = hi[q] if at_upper[q] else lo[q]
         leaving_value = hi[leaving] if to_upper else lo[leaving]
         _pivot(M, costrow, basis, p, q)
         values -= leaving_value * M[:, leaving]
-        values[p] += entering_value
+        values[p] += nonbasic_values[q]
         lo_b[p], hi_b[p] = lo[q], hi[q]
-        at_upper[q] = False
-        at_upper[leaving] = to_upper
+        nonbasic_values[q] = 0.0
+        nonbasic_values[leaving] = leaving_value
         direction[q] = 0.0
         direction[leaving] = (-1.0 if to_upper else 1.0) if lo[leaving] < hi[leaving] else 0.0
     raise NumericalBreakdown("dual simplex iteration limit exceeded")

@@ -234,15 +234,18 @@ def per_solution_graph_term(probs: np.ndarray, item, want_grad: bool):
     return term, grad
 
 
-def mask_dual_pivot_until_feasible(M, costrow, basis, at_upper, nonbasic, lo, hi):
+def mask_dual_pivot_until_feasible(M, costrow, basis, nonbasic_values, direction, lo, hi):
     """Reference for ``simplex._dual_pivot_until_feasible``: rebuilds the
     entering-candidate masks from ``at_upper`` and ``enterable`` at every pivot.
 
-    Reads the pivot, the iteration limit and the degenerate-pivot limit from
-    the ``simplex`` module, so patches of those apply to both loops."""
+    Derives both masks from ``direction`` at entry and never reads
+    ``nonbasic_values``; at the optimum it writes the nonbasic point of its own
+    ``at_upper`` (0 on the basis) into ``nonbasic_values``. Reads the pivot, the
+    iteration limit and the degenerate-pivot limit from the ``simplex`` module,
+    so patches of those apply to both loops."""
     if not M.shape[0]:
         return None, 0
-    enterable = nonbasic & (lo < hi)
+    at_upper, enterable = direction < 0.0, direction != 0.0
     lo_b, hi_b = lo[basis], hi[basis]
     degenerate = 0
     bland = False
@@ -252,6 +255,8 @@ def mask_dual_pivot_until_feasible(M, costrow, basis, at_upper, nonbasic, lo, hi
         violation = np.maximum(lo_b - values, above)
         p = int(np.argmax(violation))
         if violation[p] <= FEASIBILITY_TOL:
+            nonbasic_values[:] = np.where(at_upper, hi, lo)
+            nonbasic_values[basis] = 0.0
             return None, pivots
         if bland:
             rows = np.flatnonzero(violation > FEASIBILITY_TOL)
@@ -282,7 +287,7 @@ def mask_dual_pivot_until_feasible(M, costrow, basis, at_upper, nonbasic, lo, hi
         M[:, -1] -= leaving_value * M[:, leaving]
         M[p, -1] += entering_value
         lo_b[p], hi_b[p] = lo[q], hi[q]
-        nonbasic[q] = at_upper[q] = enterable[q] = False
-        nonbasic[leaving], at_upper[leaving] = True, to_upper
+        at_upper[q] = enterable[q] = False
+        at_upper[leaving] = to_upper
         enterable[leaving] = lo[leaving] < hi[leaving]
     raise simplex.NumericalBreakdown("dual simplex iteration limit exceeded")

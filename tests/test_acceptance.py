@@ -290,6 +290,24 @@ END_TO_END = dict(
     grid=(0.6, 0.7, 0.8, 0.9, 0.99),
 )
 
+DETERMINISM = dict(
+    family="covering",
+    n_train=6,
+    n_valid=3,
+    n_test=3,
+    n_vars=16,
+    n_rows=10,
+    seed=11,
+    collect_step_limit=80,
+    step_limit=80,
+    pool_size=4,
+    hidden_dim=8,
+    epochs=5,
+    lr=0.2,
+    grid=(0.7, 0.9, 1.0),
+    svg=True,
+)
+
 
 def test_criterion_09_end_to_end_primal_integral_win(tmp_path):
     start = time.time()
@@ -317,26 +335,8 @@ def test_criterion_09_end_to_end_primal_integral_win(tmp_path):
 
 
 def test_criterion_10_pipeline_determinism(tmp_path):
-    micro = dict(
-        family="covering",
-        n_train=6,
-        n_valid=3,
-        n_test=3,
-        n_vars=16,
-        n_rows=10,
-        seed=11,
-        collect_step_limit=80,
-        step_limit=80,
-        pool_size=4,
-        hidden_dim=8,
-        epochs=5,
-        lr=0.2,
-        grid=(0.7, 0.9, 1.0),
-        svg=True,
-    )
-
     def run_all(outdir: Path) -> dict[str, bytes]:
-        config = PipelineConfig(outdir=str(outdir), **micro)
+        config = PipelineConfig(outdir=str(outdir), **DETERMINISM)
         run_generate(config)
         run_collect(config)
         run_train(config)

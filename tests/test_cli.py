@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from confdive import pipeline
 from confdive.cli import main
 from confdive.pipeline import PipelineConfig, build_dataset, load_config, parse_config_text
 
@@ -136,6 +137,25 @@ class TestPipelineChain:
         rows = trees[0]["gridsearch.csv"].decode().splitlines()[1:-1]
         assert len({row.split(",", 1)[1] for row in rows}) >= 2  # the thresholds differ
         assert trees[1] == trees[0]
+
+    @pytest.mark.parametrize("jobs, sizes", [("1", ""), ("2", "n_train=1\nn_valid=1\nn_test=1\n")],
+                             ids=["jobs-1", "jobs-2-one-instance-per-split"])
+    def test_no_process_pool_without_two_jobs_and_two_instances(self, workdir, monkeypatch,
+                                                                jobs, sizes):
+        """At --jobs 1, or with one instance to map, every stage maps in the
+        calling process, so no pool's workers add to a run's memory."""
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was built")
+
+        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", no_pool)
+        tmp, cfg = workdir
+        cfg.write_text(cfg.read_text() + sizes)
+        outputs = {"generate": "instances/test/test_0000.milp", "collect": "pools/skipped.txt",
+                   "train": "model.txt", "gridsearch": "gridsearch.csv", "evaluate": "eval.csv"}
+        for command, output in outputs.items():
+            assert main([command, "--config", str(cfg), "--jobs", jobs]) == 0, command
+            assert (tmp / "out" / output).exists(), command
 
     def test_infeasible_train_instance_is_skipped(self, workdir):
         # a pool collected before the instance changed must not outlive it

@@ -5,7 +5,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 import digests  # noqa: E402
-from test_acceptance import END_TO_END  # noqa: E402
+from test_acceptance import DETERMINISM, END_TO_END  # noqa: E402
 
 
 def test_equal_digests_compare_clean():
@@ -24,3 +24,7 @@ def test_every_difference_is_listed_by_name():
 
 def test_criterion_9_config_is_the_acceptance_config_with_svg():
     assert digests.CONFIGS["criterion9"] == {**END_TO_END, "svg": True}
+
+
+def test_criterion_10_config_is_the_acceptance_config():
+    assert digests.CONFIGS["criterion10"] == DETERMINISM

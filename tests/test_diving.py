@@ -99,11 +99,8 @@ class TestDiveAndSolve:
         for seed in range(5):
             inst = generate_covering(seed + 600, 12, 7)
             opt = brute_force_solve(inst)
-            graph = encode(inst)
-            probs = np.where(opt.values[graph.binary_mask] > 0.5, 0.99, 0.01)
-            traj, outcome = dive_and_solve(
-                inst, constant_model(0.5), 0.9, CFG, graph=graph, probs=probs
-            )
+            probs = np.where(opt.values[inst.binary_mask()] > 0.5, 0.99, 0.01)
+            traj, outcome = dive_and_solve(inst, constant_model(0.5), 0.9, CFG, probs=probs)
             assert not outcome.fell_back
             assert outcome.partial.coverage == 1.0
             assert traj.events[0].step <= 3

@@ -547,6 +547,22 @@ class TestMalformedModelFiles:
         with pytest.raises(ValueError, match="model header, got 'f_var 5 6'"):
             load_model(text)
 
+    @pytest.mark.parametrize(
+        "after, extra, named",
+        [
+            ("hidden_dim 4\n", "hidden_dims 3\n", "got 'hidden_dims 3'"),
+            ("f_var 5\n", "f_var 5\n", "got 'f_var 5'"),
+            (None, "PARAM bogus.b 1\n1.0\n", "parameter 'bogus.b'"),
+            (None, "PARAM head.b 1\n123.0\n", "parameter 'head.b'"),  # would replace the first
+        ],
+        ids=["unknown-header-key", "repeated-header-key", "unknown-block", "repeated-block"],
+    )
+    def test_what_save_model_never_writes_is_rejected_by_name(self, after, extra, named):
+        text = self._text()
+        text = text + extra if after is None else text.replace(after, after + extra, 1)
+        with pytest.raises(ValueError, match=named):
+            load_model(text)
+
     def test_non_integer_parameter_shape_names_the_parameter(self):
         text = self._text().replace("PARAM var_embed.b 4", "PARAM var_embed.b x")
         with pytest.raises(ValueError, match="shape of parameter var_embed.b must be an integer, got 'x'"):

@@ -224,6 +224,8 @@ class TestFeasibility:
             [1.0, 4.0],  # y above its ub
             [0.0, 1.5],  # fractional integer
             [1.0, 0.0],  # row violated: 1 > 0
+            [np.nan, 2.0],  # x not a number
+            [1.0, np.nan],  # y not a number
         ],
     )
     def test_rejections(self, values):

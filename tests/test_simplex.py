@@ -537,7 +537,7 @@ def assert_identical(got, want):
     assert got.primal_values.tobytes() == want.primal_values.tobytes()
     assert (got.tableau is None) == (want.tableau is None)
     if want.tableau is not None:
-        assert got.tableau.basis.tobytes() == want.tableau.basis.tobytes()
+        assert tableau_bytes(got.tableau) == tableau_bytes(want.tableau)
 
 
 def fixed_column_reentry_lp():
