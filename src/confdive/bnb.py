@@ -2,9 +2,11 @@
 
 The time axis is a deterministic step clock: one step per processed node
 (a node is processed when its relaxation is solved). Incumbents are logged
-against that clock so downstream metrics are machine-independent. A
-rounding dive runs at the root, or at every node under aggressive
-heuristic emphasis, and feeds the optional solution pool. Each child
+against that clock so downstream metrics are machine-independent. A node
+yields at most one integer point: its LP point when that is already
+integral, else the point of a rounding dive, which runs at the root, or at
+every node under aggressive heuristic emphasis. That point may improve the
+incumbent and, with ``collect_pool``, enters the solution pool. Each child
 node's LP starts dual pivoting from its parent's final tableau
 (``simplex.DualTableau``), so a node factorizes no basis (the simplex
 refactorizes one only every REFACTOR_PIVOTS inherited pivots).
@@ -17,6 +19,7 @@ arithmetic, as its reference in ``tests/oracles.py`` (``rescan_dive_arrays``).
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Mapping
@@ -115,23 +118,14 @@ def solve(
     int_mask = instance.integer_mask()
 
     incumbent_obj = math.inf
-    incumbent_vals: np.ndarray | None = None
     events: list[TrajectoryEvent] = []
     pool: dict[tuple, tuple[float, np.ndarray]] = {}
-
-    def pool_add(values: np.ndarray, objective: float) -> None:
-        if not config.collect_pool:
-            return
-        key = tuple(np.round(values, 9).tolist())
-        if key not in pool:
-            pool[key] = (objective, values.copy())
-
-    # heap entries: (parent LP bound, insertion counter, lo, hi, parent's final
+    # heap entries: (parent LP bound, insertion number, lo, hi, parent's final
     # tableau); the two children of a node share one read-only tableau
-    counter = 0
     heap: list[tuple[float, int, np.ndarray, np.ndarray, DualTableau | None]] = [
-        (-math.inf, counter, lo, hi, None)
+        (-math.inf, 0, lo, hi, None)
     ]
+    insertion = itertools.count(1)
     step = 0
 
     while heap and step < config.step_limit:
@@ -146,40 +140,33 @@ def solve(
         if node_bound >= incumbent_obj - PRUNE_TOL:
             continue
         values = res.primal_values
-        candidates: list[tuple[float, np.ndarray]] = []
-
+        found = None  # the node's one integer point: its snapped LP point, or its dive's
         order = _fractional_order(values, int_mask)
         if not order:
             snapped = values.copy()
             snapped[int_mask] = np.round(snapped[int_mask])
             if _rows_ok(A, b, snapped):
-                candidates.append((float(c @ snapped), snapped))
+                found = snapped
         else:
             if config.heuristic_emphasis == "aggressive" or step == 1:
-                dived = _dive_arrays(c, A, b, int_mask, lo_n, hi_n, values, order)
-                if dived is not None:
-                    candidates.append((float(c @ dived), dived))
+                found = _dive_arrays(c, A, b, int_mask, lo_n, hi_n, values, order)
             j = order[0]
-            v = values[j]
             hi_dn = hi_n.copy()
-            hi_dn[j] = math.floor(v)
+            hi_dn[j] = math.floor(values[j])
             lo_up = lo_n.copy()
-            lo_up[j] = math.ceil(v)
-            counter += 1
-            heapq.heappush(heap, (node_bound, counter, lo_n, hi_dn, res.tableau))
-            counter += 1
-            heapq.heappush(heap, (node_bound, counter, lo_up, hi_n, res.tableau))
+            lo_up[j] = math.ceil(values[j])
+            heapq.heappush(heap, (node_bound, next(insertion), lo_n, hi_dn, res.tableau))
+            heapq.heappush(heap, (node_bound, next(insertion), lo_up, hi_n, res.tableau))
+        if found is None:
+            continue
+        objective = float(c @ found)
+        if config.collect_pool:  # the first point seen under a key keeps it
+            pool.setdefault(tuple(np.round(found, 9).tolist()), (objective, found.copy()))
+        if objective < incumbent_obj - PRUNE_TOL:
+            incumbent_obj = objective
+            events.append(TrajectoryEvent(step, objective, found.copy()))
 
-        for obj, vals in candidates:
-            pool_add(vals, obj)
-        if candidates:
-            best_obj, best_vals = min(candidates, key=lambda t: t[0])
-            if best_obj < incumbent_obj - PRUNE_TOL:
-                incumbent_obj = best_obj
-                incumbent_vals = best_vals
-                events.append(TrajectoryEvent(step, best_obj, best_vals.copy()))
-
-    if incumbent_vals is None and not heap:
+    if not events and not heap:
         raise InfeasibleSubproblem(
             f"instance {instance.name!r} has no integer-feasible point under the given fixings"
         )
@@ -188,7 +175,7 @@ def solve(
     entries = tuple(
         Assignment(vals, obj)
         for obj, vals in sorted(pool.values(), key=lambda t: (t[0], tuple(t[1])))
-    )[: config.pool_size if config.collect_pool else 0]
+    )[: config.pool_size]
     return trajectory, SolutionPool(instance.name, entries)
 
 

@@ -71,7 +71,7 @@ def fix_by_threshold(probs: np.ndarray, t: float) -> PartialAssignment:
     """Fix positions with p >= t to 1 and p <= 1 - t to 0."""
     t = check_threshold(t)
     probs = np.asarray(probs, dtype=np.float64)
-    if probs.size and (probs.min() <= 0.0 or probs.max() >= 1.0):
+    if not ((probs > 0.0) & (probs < 1.0)).all():  # NaN fails both comparisons
         raise ValueError("probabilities must lie strictly inside (0, 1)")
     fixings: dict[int, int] = {}
     for j, p in enumerate(probs):

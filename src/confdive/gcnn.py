@@ -541,6 +541,8 @@ def load_model(text: str) -> GcnnModel:
             raise ValueError(f"parameter {name} of declared shape {shape} is malformed: {exc}") from exc
         if arr.shape != shape:
             raise ValueError(f"parameter {name} has shape {arr.shape}, expected {shape}")
+        if not np.isfinite(arr).all():
+            raise ValueError(f"parameter {name} has a non-finite value")
         i += 1 + n_lines
         arrays[name] = arr
     blocks = {}

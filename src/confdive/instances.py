@@ -35,6 +35,8 @@ VAR_KINDS = ("binary", "integer", "continuous")
 
 #: Feasibility slack for row checks on the exact integer data the generators emit.
 FEAS_TOL = 1e-9
+#: Row, bound and integrality slack of ``check_feasibility``, the check of any given point.
+CHECK_ROW_TOL, CHECK_BOUND_TOL, CHECK_INT_TOL = 1e-7, 1e-9, 1e-6
 #: Largest variable count the exhaustive oracle accepts (2^24 assignments).
 ORACLE_MAX_VARS = 24
 #: Legal instance names; a name becomes a file name and a CSV field.
@@ -205,25 +207,19 @@ class Assignment:
         object.__setattr__(self, "objective", float(self.objective))
 
 
-def check_feasibility(
-    instance: MilpInstance,
-    values: np.ndarray,
-    row_tol: float = 1e-7,
-    bound_tol: float = 1e-9,
-    int_tol: float = 1e-6,
-) -> bool:
+def check_feasibility(instance: MilpInstance, values: np.ndarray) -> bool:
     """True iff ``values`` is finite and satisfies rows, bounds, and integrality within tolerances."""
     values = np.asarray(values, dtype=np.float64)
     if values.shape != (instance.n,) or not np.isfinite(values).all():
         return False
     lb, ub = instance.bounds_arrays()
-    if np.any(values < lb - bound_tol) or np.any(values > ub + bound_tol):
+    if np.any(values < lb - CHECK_BOUND_TOL) or np.any(values > ub + CHECK_BOUND_TOL):
         return False
     imask = instance.integer_mask()
-    if np.any(np.abs(values[imask] - np.round(values[imask])) > int_tol):
+    if np.any(np.abs(values[imask] - np.round(values[imask])) > CHECK_INT_TOL):
         return False
     A, b = instance.dense_matrix()
-    if instance.m and np.any(A @ values > b + row_tol):
+    if instance.m and np.any(A @ values > b + CHECK_ROW_TOL):
         return False
     return True
 
@@ -360,9 +356,13 @@ def parse_solution(text: str, instance: MilpInstance) -> Assignment:
         if v.name not in by_name:
             raise InstanceValidationError(f"vars[{i}]", f"solution misses variable {v.name!r}")
         values[i] = by_name.pop(v.name)
+        if not math.isfinite(values[i]):
+            raise InstanceValidationError(f"vars[{i}]", f"value {values[i]} of {v.name!r} is not finite")
     if by_name:
         extra = sorted(by_name)[0]
         raise InstanceValidationError("vars", f"solution names unknown variable {extra!r}")
+    if not math.isfinite(objective):
+        raise InstanceValidationError("objective", f"stated objective {objective} is not finite")
     expected = float(instance.objective_vector() @ values)
     if abs(expected - objective) > 1e-9:
         raise InstanceValidationError(

@@ -90,13 +90,19 @@ class PipelineConfig:
     jobs: int = 1
     outdir: str = "out"
 
+    def __post_init__(self):
+        self.validate()
+
     def validate(self) -> "PipelineConfig":
+        """Raise :class:`UsageError` on a bad setting; building a config already calls this."""
         if self.family not in ("covering", "knapsack"):
             raise UsageError(f"unknown family {self.family!r}")
         if min(self.n_train, self.n_valid, self.n_test) < 0:
             raise UsageError("split sizes must be nonnegative")
         if self.n_train + self.n_valid + self.n_test == 0:
             raise UsageError("empty dataset: all split sizes are zero")
+        if self.seed < 0:
+            raise UsageError("seed must be >= 0")
         if self.jobs < 1:
             raise UsageError("jobs must be >= 1")
         if self.hidden_dim < 1:
@@ -190,7 +196,7 @@ def load_config(path: str | Path | None, overrides: dict | None = None) -> Pipel
     unknown = set(values) - known
     if unknown:
         raise UsageError(f"unknown config keys: {sorted(unknown)}")
-    return PipelineConfig(**values).validate()
+    return PipelineConfig(**values)
 
 
 def _atomic_write(path: Path, text: str) -> None:

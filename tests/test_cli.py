@@ -263,6 +263,14 @@ class TestOverrides:
 
 
 class TestConfigText:
+    @pytest.mark.parametrize(
+        "settings, message",
+        [(dict(family="Covering"), "unknown family 'Covering'"), (dict(seed=-1), "seed must be >= 0")],
+    )
+    def test_config_is_checked_when_built(self, settings, message):
+        with pytest.raises(pipeline.UsageError, match=message):
+            PipelineConfig(**settings)
+
     def test_every_field_round_trips(self, tmp_path):
         expected = PipelineConfig(
             family="knapsack", n_train=3, n_valid=4, n_test=5, n_vars=30, n_rows=9,
@@ -318,6 +326,7 @@ class TestConfigText:
             ("collect_emphasis=loud\n", "collect_emphasis must be 'off' or 'aggressive', got 'loud'"),
             ("loss_mode=sum\n", "unknown loss_mode 'sum'"),
             ("emphasis=loud\n", "emphasis must be 'off' or 'aggressive', got 'loud'"),
+            ("seed=-1\n", "seed must be >= 0"),
         ],
     )
     def test_bad_stage_settings_rejected_before_any_work(self, workdir, capsys, extra, message):

@@ -1,11 +1,10 @@
-"""The comparison and the configs of ``tools/digests.py``."""
+"""The comparison of ``tools/digests.py``."""
 
 import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 import digests  # noqa: E402
-from test_acceptance import DETERMINISM, END_TO_END  # noqa: E402
 
 
 def test_equal_digests_compare_clean():
@@ -21,10 +20,3 @@ def test_every_difference_is_listed_by_name():
         "b.txt: differs", "gone.sol: parent only", "new.svg: tree only",
     ]
 
-
-def test_criterion_9_config_is_the_acceptance_config_with_svg():
-    assert digests.CONFIGS["criterion9"] == {**END_TO_END, "svg": True}
-
-
-def test_criterion_10_config_is_the_acceptance_config():
-    assert digests.CONFIGS["criterion10"] == DETERMINISM

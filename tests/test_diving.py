@@ -59,6 +59,12 @@ class TestFixByThreshold:
         with pytest.raises(ValueError):
             fix_by_threshold(np.array([1.0, 0.5]), 0.9)
 
+    # NaN fails every comparison, so a min/max range check lets it through
+    @pytest.mark.parametrize("probs", [[np.nan, 0.7], [0.7, np.nan]])
+    def test_nan_probabilities_rejected(self, probs):
+        with pytest.raises(ValueError, match="strictly inside"):
+            fix_by_threshold(np.array(probs), 0.6)
+
     @given(
         probs=st.lists(st.floats(min_value=0.001, max_value=0.999), min_size=1, max_size=30),
         t_pair=st.tuples(

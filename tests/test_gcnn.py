@@ -537,6 +537,13 @@ class TestMalformedModelFiles:
         with pytest.raises(ValueError, match=r"var_embed.b of declared shape \(4,\) is malformed"):
             load_model("\n".join(lines) + "\n")
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_value_names_the_parameter(self, value):
+        lines = self._text().splitlines()
+        lines[lines.index("PARAM head.b 1") + 1] = value  # forward would give all-NaN probabilities
+        with pytest.raises(ValueError, match="parameter head.b has a non-finite value"):
+            load_model("\n".join(lines) + "\n")
+
     def test_non_integer_header_value_names_the_key(self):
         text = self._text().replace("hidden_dim 4", "hidden_dim four")
         with pytest.raises(ValueError, match="model header hidden_dim must be an integer, got 'four'"):

@@ -204,6 +204,21 @@ class TestSolutionFormat:
             parse_solution(text, inst)
         assert (err.value.line, err.value.column) == (line, column)
 
+    @pytest.mark.parametrize(
+        "head, path",
+        [
+            ("SOL 3.0\nx0 inf\nx1 -inf\n", "vars[0]"),  # c.x is NaN, so no objective check fires
+            ("SOL inf\nx0 inf\n", "vars[0]"),
+            ("SOL inf\n", "objective"),
+        ],
+    )
+    def test_non_finite_rejected(self, head, path):
+        inst = generate_covering(1, 8, 4)
+        rest = "".join(f"{v.name} 1.0\n" for v in inst.vars if f"\n{v.name} " not in head)
+        with pytest.raises(InstanceValidationError, match="not finite") as err:
+            parse_solution(head + rest, inst)
+        assert err.value.path == path
+
 
 class TestFeasibility:
     # x binary, y integer in [0, 3]; row x - y <= 0. Each rejected point fails one check only.

@@ -25,20 +25,11 @@ from pathlib import Path
 
 from pairs import ROOT, worktree
 
+sys.path[:0] = [str(ROOT / "tests"), str(ROOT / "src")]  # test_acceptance imports confdive
+from test_acceptance import DETERMINISM, END_TO_END  # noqa: E402
+
 #: Pipeline settings per acceptance criterion.
-CONFIGS = {
-    "criterion9": dict(
-        family="covering", n_train=100, n_valid=30, n_test=30, n_vars=40, n_rows=32, seed=7,
-        collect_step_limit=150, collect_emphasis="aggressive", step_limit=150,
-        emphasis="aggressive", pool_size=8, hidden_dim=16, epochs=40, lr=0.1, batch_size=8,
-        grid=(0.6, 0.7, 0.8, 0.9, 0.99), svg=True,
-    ),
-    "criterion10": dict(
-        family="covering", n_train=6, n_valid=3, n_test=3, n_vars=16, n_rows=10, seed=11,
-        collect_step_limit=80, step_limit=80, pool_size=4, hidden_dim=8, epochs=5, lr=0.2,
-        grid=(0.7, 0.9, 1.0), svg=True,
-    ),
-}
+CONFIGS = {"criterion9": {**END_TO_END, "svg": True}, "criterion10": DETERMINISM}
 
 #: Runs the five stages in a fresh interpreter; argv holds the output
 #: directory and the settings as JSON.
