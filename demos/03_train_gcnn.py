@@ -6,16 +6,14 @@ Run: python3 demos/03_train_gcnn.py  (about 6 s on a 2-core Xeon)
 import numpy as np
 
 from confdive import (
-    GraphTargets,
     SolverConfig,
-    TargetSolution,
     TrainConfig,
-    compute_solution_weights,
     encode,
     forward,
     generate_covering,
     generate_knapsack,
     init_model,
+    pool_targets,
     solve,
     train,
 )
@@ -25,13 +23,7 @@ def targets_for(instance, pool_size=4, steps=80):
     config = SolverConfig(step_limit=steps, heuristic_emphasis="aggressive",
                           collect_pool=True, pool_size=pool_size)
     _, pool = solve(instance, {}, config)
-    graph = encode(instance)
-    weights = compute_solution_weights(pool)
-    mask = graph.binary_mask
-    return GraphTargets(graph, [
-        TargetSolution(entry.values[mask].copy(), float(w))
-        for entry, w in zip(pool.entries, weights)
-    ])
+    return pool_targets(encode(instance), pool)
 
 
 # A homogeneous dataset first: 60 small coverings, best-solution supervision.

@@ -4,11 +4,8 @@ Run: python3 demos/04_confidence_diving.py  (about 15 s on a 2-core Xeon)
 """
 
 from confdive import (
-    GraphTargets,
     SolverConfig,
-    TargetSolution,
     TrainConfig,
-    compute_solution_weights,
     dive_and_solve,
     encode,
     fix_by_threshold,
@@ -16,6 +13,7 @@ from confdive import (
     generate_covering,
     grid_search,
     init_model,
+    pool_targets,
     report_to_csv,
     solve,
     train,
@@ -27,12 +25,7 @@ dataset = []
 for inst in train_insts:
     _, pool = solve(inst, {}, SolverConfig(step_limit=150, heuristic_emphasis="aggressive",
                                            collect_pool=True, pool_size=8))
-    graph = encode(inst)
-    weights = compute_solution_weights(pool)
-    mask = graph.binary_mask
-    dataset.append(GraphTargets(graph, [
-        TargetSolution(e.values[mask].copy(), float(w)) for e, w in zip(pool.entries, weights)
-    ]))
+    dataset.append(pool_targets(encode(inst), pool))
 model, _ = train(init_model(hidden_dim=16, seed=0), dataset,
                  TrainConfig(lr=0.1, epochs=40, batch_size=8, seed=0))
 

@@ -53,6 +53,7 @@ from .gcnn import (
     load_model,
     loss_fullbatch,
     loss_minibatch,
+    pool_targets,
     save_model,
     train,
 )

@@ -3,13 +3,16 @@
 The time axis is a deterministic step clock: one step per processed node
 (a node is processed when its relaxation is solved). Incumbents are logged
 against that clock so downstream metrics are machine-independent. A node
-yields at most one integer point: its LP point when that is already
-integral, else the point of a rounding dive, which runs at the root, or at
-every node under aggressive heuristic emphasis. That point may improve the
-incumbent and, with ``collect_pool``, enters the solution pool. Each child
-node's LP starts dual pivoting from its parent's final tableau
-(``simplex.DualTableau``), so a node factorizes no basis (the simplex
-refactorizes one only every REFACTOR_PIVOTS inherited pivots).
+yields at most one integer point: its LP point when that is within INT_TOL
+of integral and keeps the rows once snapped, else the point of a rounding
+dive, which runs at the root, or at every node under aggressive heuristic
+emphasis. That point may improve the incumbent and, with ``collect_pool``,
+enters the solution pool. A fractional node branches on its most
+fractional integer variable; a node whose snap broke a row, on its most
+fractional value that is not exactly integral. Each child node's LP starts
+dual pivoting from its parent's final tableau (``simplex.DualTableau``), so
+a node factorizes no basis (the simplex refactorizes one only every
+REFACTOR_PIVOTS inherited pivots).
 
 The rounding dive computes its roundings as arrays once per LP point, but
 takes the same roundings, in the same order and with the same slack
@@ -147,9 +150,11 @@ def solve(
             snapped[int_mask] = np.round(snapped[int_mask])
             if _rows_ok(A, b, snapped):
                 found = snapped
-        else:
-            if config.heuristic_emphasis == "aggressive" or step == 1:
-                found = _dive_arrays(c, A, b, int_mask, lo_n, hi_n, values, order)
+            else:  # the snap breaks a row: branch on the values that are not exactly integral
+                order = _fractional_order(values, int_mask, tol=0.0)
+        elif config.heuristic_emphasis == "aggressive" or step == 1:
+            found = _dive_arrays(c, A, b, int_mask, lo_n, hi_n, values, order)
+        if order:
             j = order[0]
             hi_dn = hi_n.copy()
             hi_dn[j] = math.floor(values[j])
@@ -180,17 +185,17 @@ def solve(
 
 
 def _rows_ok(A: np.ndarray, b: np.ndarray, values: np.ndarray) -> bool:
-    return not A.shape[0] or bool(np.all(A @ values <= b + FEAS_TOL))
+    return bool(np.all(A @ values <= b + FEAS_TOL))
 
 
-def _fractional_order(values: np.ndarray, int_mask: np.ndarray) -> list[int]:
+def _fractional_order(values: np.ndarray, int_mask: np.ndarray, tol: float = INT_TOL) -> list[int]:
     """Fractional integer variables, most fractional first, ties to the lowest index.
 
-    Empty when every integer variable is within ``INT_TOL`` of an integer.
+    Empty when every integer variable is within ``tol`` of an integer.
     """
     # |v - round(v)| <= 0.5 is already the distance to the nearest integer
     frac = np.abs(values - np.rint(values))
-    idx = (int_mask & (frac > INT_TOL)).nonzero()[0]
+    idx = (int_mask & (frac > tol)).nonzero()[0]
     return idx[np.argsort(-frac[idx], kind="stable")].tolist()
 
 
@@ -217,8 +222,7 @@ def _dive_arrays(
     lo = lo.copy()
     hi = hi.copy()
     vals = values.copy()
-    rows = A.shape[0]
-    slack = (b - A @ vals) if rows else np.zeros(0)
+    slack = b - A @ vals
     steps = int(int_mask.sum()) + 1
     while True:
         if order:
@@ -229,14 +233,14 @@ def _dive_arrays(
             steps -= 1
             if pref_ok[i]:
                 new_slack = slack - shift[i]
-                if not rows or np.minimum.reduce(new_slack) >= -FEAS_TOL:
+                if np.minimum.reduce(new_slack, initial=np.inf) >= -FEAS_TOL:
                     vals[j] = lo[j] = hi[j] = pref[i]
                     slack = new_slack
                     continue
             if other_ok[i]:
                 r = other[i]
-                new_slack = slack - A[:, j] * (r - float(vals[j])) if rows else slack
-                if not rows or new_slack.min() >= -FEAS_TOL:
+                new_slack = slack - A[:, j] * (r - float(vals[j]))
+                if new_slack.min(initial=np.inf) >= -FEAS_TOL:
                     vals[j] = lo[j] = hi[j] = r
                     slack = new_slack
                     continue
@@ -246,7 +250,7 @@ def _dive_arrays(
             if res.status != "optimal":
                 return None
             vals = res.primal_values
-            slack = (b - A @ vals) if rows else slack
+            slack = b - A @ vals
             order = _fractional_order(vals, int_mask)
             break  # round the new LP point
         else:

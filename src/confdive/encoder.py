@@ -67,9 +67,9 @@ def encode(instance: MilpInstance) -> BipartiteGraph:
     lb, ub = instance.bounds_arrays()
     binary = instance.binary_mask()
 
-    c_denom = max(float(np.max(np.abs(c))) if n else 0.0, 1e-12)
+    c_denom = max(float(np.abs(c).max(initial=0.0)), 1e-12)
     finite_bounds = np.abs(np.concatenate([lb[np.isfinite(lb)], ub[np.isfinite(ub)]]))
-    b_denom_bounds = max(float(finite_bounds.max()) if finite_bounds.size else 0.0, 1e-12)
+    b_denom_bounds = max(float(finite_bounds.max(initial=0.0)), 1e-12)
 
     res = solve_lp(instance)
     root_vals = res.primal_values if res.status == "optimal" else np.zeros(n)
@@ -82,7 +82,7 @@ def encode(instance: MilpInstance) -> BipartiteGraph:
     var_feats[:, 4] = np.clip(root_vals / b_denom_bounds, -1.0, 1.0)
 
     rhs = np.array([con.rhs for con in instance.constraints], dtype=np.float64)
-    rhs_denom = max(float(np.max(np.abs(rhs))) if m else 0.0, 1.0)
+    rhs_denom = max(float(np.abs(rhs).max(initial=0.0)), 1.0)
     rows, cols, coefs = instance.row_terms()
     row_max = np.zeros(m)
     np.maximum.at(row_max, rows, np.abs(coefs))

@@ -455,24 +455,32 @@ def train(
     return model, curve
 
 
-def compute_solution_weights(
-    pool: SolutionPool, temperature: float = 1.0, uniform: bool = False
-) -> np.ndarray:
+def compute_solution_weights(pool: SolutionPool, temperature: float = 1.0) -> np.ndarray:
     """Per-solution weights: softmax of negated min-max-normalized objectives.
 
     Better (lower) objectives get at least as much weight; equal objectives
-    share weight equally; a single solution gets weight 1.
+    share it equally, as all do at ``temperature=inf``; one solution gets 1.
     """
     if not temperature > 0:
         raise ValueError(f"temperature must be > 0, got {temperature}")
     if not pool.entries:
         raise ValueError("solution pool is empty")
     objs = np.array([e.objective for e in pool.entries], dtype=np.float64)
-    if uniform or objs.max() - objs.min() < 1e-12:
+    if objs.max() - objs.min() < 1e-12:
         return np.full(len(objs), 1.0 / len(objs))
     z = (objs - objs.min()) / (objs.max() - objs.min())
     w = np.exp(-z / temperature)
     return w / w.sum()
+
+
+def pool_targets(
+    graph: BipartiteGraph, pool: SolutionPool, temperature: float = 1.0
+) -> GraphTargets:
+    """Each pooled solution's binary values, weighted by :func:`compute_solution_weights`."""
+    return GraphTargets(graph, [
+        TargetSolution(entry.values[graph.binary_mask].copy(), float(w))
+        for entry, w in zip(pool.entries, compute_solution_weights(pool, temperature))
+    ])
 
 
 # ---------------------------------------------------------------------------

@@ -128,6 +128,8 @@ class MilpInstance:
                 raise InstanceValidationError(
                     f"{path}", f"variable {v.name!r} has lb {v.lb} > ub {v.ub}"
                 )
+            if v.lb == math.inf or v.ub == -math.inf:
+                raise InstanceValidationError(path, f"variable {v.name!r} has no finite value")
             if v.kind == "binary" and (v.lb, v.ub) != (0.0, 1.0):
                 raise InstanceValidationError(
                     f"{path}", f"binary variable {v.name!r} must have bounds (0, 1)"
@@ -219,7 +221,7 @@ def check_feasibility(instance: MilpInstance, values: np.ndarray) -> bool:
     if np.any(np.abs(values[imask] - np.round(values[imask])) > CHECK_INT_TOL):
         return False
     A, b = instance.dense_matrix()
-    if instance.m and np.any(A @ values > b + CHECK_ROW_TOL):
+    if np.any(A @ values > b + CHECK_ROW_TOL):
         return False
     return True
 
@@ -468,12 +470,10 @@ def brute_force_solve(instance: MilpInstance) -> Assignment:
     for start in range(0, total, chunk):
         ks = np.arange(start, min(start + chunk, total), dtype=np.int64)
         X = ((ks[:, None] >> shifts[None, :]) & 1).astype(np.float64)
-        if instance.m:
-            feasible = np.all(X @ A.T <= b + FEAS_TOL, axis=1)
-            if not feasible.any():
-                continue
-            ks = ks[feasible]
-            X = X[feasible]
+        feasible = np.all(X @ A.T <= b + FEAS_TOL, axis=1)
+        if not feasible.any():
+            continue
+        ks, X = ks[feasible], X[feasible]
         objs = X @ c
         i = int(np.argmin(objs))  # first minimum = lexicographically smallest
         if best_obj is None or objs[i] < best_obj:

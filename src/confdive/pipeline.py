@@ -30,11 +30,10 @@ from .evaluation import compare, eval_configs, plot_primal_bound, rows_to_csv, s
 from .gcnn import (
     GcnnModel,
     GraphTargets,
-    TargetSolution,
     TrainConfig,
-    compute_solution_weights,
     init_model,
     load_model,
+    pool_targets,
     save_model,
     train,
 )
@@ -80,7 +79,6 @@ class PipelineConfig:
     batch_size: int = 8
     loss_mode: str = "minibatch"
     temperature: float = 1.0
-    uniform_weights: bool = False
     # diving / evaluation
     grid: tuple[float, ...] = DEFAULT_GRID
     step_limit: int = 150
@@ -177,8 +175,9 @@ def parse_config_text(text: str) -> dict:
         if not sep:
             raise UsageError(f"config line {line_no}: expected key=value, got {raw!r}")
         key = key.strip()
-        value = value.strip()
-        values[key] = _coerce(key, value)
+        if key in values:
+            raise UsageError(f"config line {line_no}: repeated key {key!r}")
+        values[key] = _coerce(key, value.strip())
     return values
 
 
@@ -238,6 +237,11 @@ def _split_count(config: PipelineConfig, split: str) -> int:
 def instance_paths(config: PipelineConfig, split: str) -> list[Path]:
     base = config.out / "instances" / split
     return [base / f"{split}_{i:04d}.milp" for i in range(_split_count(config, split))]
+
+
+def pool_paths(config: PipelineConfig) -> list[Path]:
+    """The pool file of each train instance, in ``instance_paths`` order."""
+    return [config.out / "pools" / (path.stem + ".sol") for path in instance_paths(config, "train")]
 
 
 def load_split(config: PipelineConfig, split: str) -> list[MilpInstance]:
@@ -306,16 +310,14 @@ def run_collect(config: PipelineConfig) -> list[str]:
     instances = load_split(config, "train")
     solver_config = collect_solver_config(config)
     results = _pmap(_collect_one, [(inst, solver_config) for inst in instances], config.jobs)
-    pool_dir = config.out / "pools"
     skipped: list[str] = []
-    for path, (name, text, reason) in zip(instance_paths(config, "train"), results):
-        pool_path = pool_dir / (path.stem + ".sol")
+    for pool_path, (name, text, reason) in zip(pool_paths(config), results):
         if text is None:
             skipped.append(f"{name} {reason}")
             pool_path.unlink(missing_ok=True)
         else:
             _atomic_write(pool_path, text)
-    _atomic_write(pool_dir / "skipped.txt", "".join(line + "\n" for line in skipped))
+    _atomic_write(config.out / "pools" / "skipped.txt", "".join(line + "\n" for line in skipped))
     return skipped
 
 
@@ -330,23 +332,12 @@ def build_dataset(config: PipelineConfig) -> list[GraphTargets]:
     if not pool_dir.exists():
         raise UsageError(f"pool directory {pool_dir} does not exist; run `collect` first")
     dataset: list[GraphTargets] = []
-    for path, instance in zip(instance_paths(config, "train"), instances):
-        pool_path = pool_dir / (path.stem + ".sol")
+    for pool_path, instance in zip(pool_paths(config), instances):
         if not pool_path.exists():
             continue  # listed in the skip manifest
         pool = bnb.parse_pool(pool_path.read_text(), instance)
-        if not pool.entries:
-            continue
-        graph = encode(instance)
-        weights = compute_solution_weights(
-            pool, temperature=config.temperature, uniform=config.uniform_weights
-        )
-        mask = graph.binary_mask
-        solutions = [
-            TargetSolution(entry.values[mask].copy(), float(w))
-            for entry, w in zip(pool.entries, weights)
-        ]
-        dataset.append(GraphTargets(graph, solutions))
+        if pool.entries:
+            dataset.append(pool_targets(encode(instance), pool, config.temperature))
     if not dataset:
         raise UsageError("no usable solution pools; nothing to train on")
     return dataset
@@ -410,7 +401,10 @@ def read_best_threshold(config: PipelineConfig) -> float:
         )
     for line in path.read_text().splitlines():
         if line.startswith("BEST t="):
-            return float(line.split("=", 1)[1])
+            try:
+                return check_threshold(line.split("=", 1)[1])
+            except ValueError as exc:
+                raise UsageError(f"gridsearch report {path} has a bad BEST trailer: {exc}") from None
     raise UsageError(f"gridsearch report {path} has no BEST trailer")
 
 

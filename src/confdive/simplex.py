@@ -137,10 +137,16 @@ def _solve_lp_arrays(
     the new bounds and with no factorization; once it has inherited
     REFACTOR_PIVOTS pivots, its basis is factorized instead. Without a
     tableau, or when its basis is singular or no longer dual feasible, the
-    dual path starts from the slack basis. The primal path ignores the tableau.
+    dual path starts from the slack basis, as does the one retry of a tableau
+    start that raises NumericalBreakdown. The primal path ignores the tableau.
     """
     if _dual_applies(c, lo, hi):
-        return _solve_dual(c, A, b, lo, hi, tableau)
+        if tableau is not None:
+            try:
+                return _solve_dual(c, A, b, lo, hi, tableau)
+            except NumericalBreakdown:
+                pass
+        return _solve_dual(c, A, b, lo, hi)
     return _solve_primal(c, A, b, lo, hi)
 
 
@@ -330,10 +336,9 @@ def _proves_infeasible(
 
 
 def _check_rows(A: np.ndarray, b: np.ndarray, x: np.ndarray) -> None:
-    if A.shape[0]:
-        worst = float((A @ x - b).max())
-        if worst > 1e-6:
-            raise NumericalBreakdown(f"optimal point violates a row by {worst:.3e}")
+    worst = float((A @ x - b).max(initial=-np.inf))
+    if worst > 1e-6:
+        raise NumericalBreakdown(f"optimal point violates a row by {worst:.3e}")
 
 
 def _solve_primal(

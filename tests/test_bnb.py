@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from confdive import bnb, simplex
 from confdive.bnb import (
@@ -11,12 +13,14 @@ from confdive.bnb import (
 )
 from confdive.instances import (
     ConstraintDef,
+    Infeasible,
     MilpInstance,
     VarDef,
     brute_force_solve,
     check_feasibility,
     generate_covering,
     generate_knapsack,
+    parse_instance,
 )
 from confdive.simplex import _solve_lp_arrays, fixed_bounds, solve_lp
 
@@ -79,6 +83,60 @@ def test_exactness_small_instances(seed):
     # oracle optimality: nothing the solver found beats the oracle
     for event in traj.events:
         assert event.objective >= oracle.objective - 1e-9
+
+
+@pytest.mark.parametrize("emphasis", ["off", "aggressive"])
+@pytest.mark.parametrize(
+    "text, optimum",
+    [
+        ("VAR x binary 0 1 -1\nCON c le 1999999 0:2000000\n", 0.0),
+        ("VAR x binary 0 1 -1\nVAR z binary 0 1 -1\nCON c le 1999999 0:2000000\nCON d le 1 1:1\n",
+         -1.0),
+        ("VAR x integer 0 2 -1\nVAR y continuous 0 10 10\nCON c le 1999999 0:2000000 1:-1\n", 0.0),
+    ],
+    ids=["one-row", "two-rows", "mixed"],
+)
+def test_near_integral_point_that_breaks_a_row_is_branched_on(text, optimum, emphasis):
+    # the root LP puts x at 0.9999995, within INT_TOL of 1, where the row fails
+    traj, _ = solve(parse_instance(text), {}, SolverConfig(step_limit=100, heuristic_emphasis=emphasis))
+    assert traj.proved_optimal
+    assert traj.final_objective() == optimum
+
+
+@st.composite
+def planted_instances(draw):
+    """2-8 binaries and 0-3 small rows, plus a planted row a x_j <= a - 1 that
+    forces x_j to 0 while its LP value stays within 1/a of 1."""
+    n = draw(st.integers(2, 8))
+    costs = draw(st.lists(st.integers(-10, 10), min_size=n, max_size=n))
+    j = draw(st.integers(0, n - 1))
+    costs[j] = draw(st.integers(-10, -1))
+    a = float(draw(st.integers(10**6 + 1, 10**9)))
+    rows = [
+        ConstraintDef(f"r{k}", tuple((i, float(v)) for i, v in enumerate(coefs) if v), float(rhs))
+        for k, (coefs, rhs) in enumerate(draw(st.lists(
+            st.tuples(st.lists(st.integers(-5, 5), min_size=n, max_size=n), st.integers(-5, 10)),
+            max_size=3,
+        )))
+    ]
+    rows.insert(draw(st.integers(0, len(rows))), ConstraintDef("planted", ((j, a),), a - 1))
+    var_defs = tuple(VarDef(f"x{i}", "binary", 0.0, 1.0, float(v)) for i, v in enumerate(costs))
+    return MilpInstance("planted", var_defs, tuple(rows))
+
+
+@settings(max_examples=150, deadline=None)
+@given(planted_instances())
+def test_exact_on_badly_scaled_rows(inst):
+    config = SolverConfig(step_limit=10**4)
+    try:
+        oracle = brute_force_solve(inst)
+    except Infeasible:
+        with pytest.raises(InfeasibleSubproblem):
+            solve(inst, {}, config)
+        return
+    traj, _ = solve(inst, {}, config)
+    assert traj.proved_optimal
+    assert traj.final_objective() == pytest.approx(oracle.objective, abs=1e-9)
 
 
 def test_trajectory_monotonic_and_consistent_with_fixings():

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from confdive import pipeline
+from confdive import init_model, pipeline, save_model
 from confdive.cli import main
 from confdive.pipeline import PipelineConfig, build_dataset, load_config, parse_config_text
 
@@ -48,6 +48,15 @@ def workdir(tmp_path):
     cfg = tmp_path / "micro.cfg"
     cfg.write_text(MICRO + f"outdir={tmp_path / 'out'}\n")
     return tmp_path, cfg
+
+
+def override(cfg: Path, settings: str) -> None:
+    """Rewrite ``cfg`` with the ``key=value`` lines of ``settings`` in place of
+    its own lines for the same keys (a config file names each key once)."""
+    keys = {line.partition("=")[0] for line in settings.splitlines()}
+    kept = [line for line in cfg.read_text().splitlines(keepends=True)
+            if line.partition("=")[0] not in keys]
+    cfg.write_text("".join(kept) + settings)
 
 
 def read_tree(root: Path) -> dict[str, bytes]:
@@ -122,7 +131,7 @@ class TestPipelineChain:
         the report.
         """
         tmp, cfg = workdir
-        cfg.write_text(cfg.read_text() + "epochs=6\ngrid=0.55,0.65,0.75,0.85,0.95\n")
+        override(cfg, "epochs=6\ngrid=0.55,0.65,0.75,0.85,0.95\n")
         trees = []
         for jobs in ("1", "2"):
             for command in ("generate", "collect", "train", "gridsearch", "evaluate"):
@@ -150,7 +159,7 @@ class TestPipelineChain:
 
         monkeypatch.setattr(pipeline, "ProcessPoolExecutor", no_pool)
         tmp, cfg = workdir
-        cfg.write_text(cfg.read_text() + sizes)
+        override(cfg, sizes)
         outputs = {"generate": "instances/test/test_0000.milp", "collect": "pools/skipped.txt",
                    "train": "model.txt", "gridsearch": "gridsearch.csv", "evaluate": "eval.csv"}
         for command, output in outputs.items():
@@ -212,7 +221,8 @@ class TestExitCodes:
 
     def test_unknown_config_key(self, tmp_path, capsys):
         # a deleted key is rejected, not ignored
-        for key, value in (("nonsense_key", "1"), ("include_root_lp", "false")):
+        for key, value in (("nonsense_key", "1"), ("include_root_lp", "false"),
+                           ("uniform_weights", "true")):
             cfg = tmp_path / "c.cfg"
             cfg.write_text(f"{key}={value}\n")
             assert main(["generate", "--config", str(cfg)]) == 1
@@ -220,6 +230,17 @@ class TestExitCodes:
 
     def test_missing_config_file(self, tmp_path):
         assert main(["generate", "--config", str(tmp_path / "nope.cfg")]) == 1
+
+    @pytest.mark.parametrize("value", ["0.3", "nan", "abc"])
+    def test_bad_best_trailer_is_a_usage_error(self, workdir, capsys, value):
+        tmp, cfg = workdir
+        main(["generate", "--config", str(cfg)])
+        (tmp / "out" / "model.txt").write_text(save_model(init_model(hidden_dim=8, seed=0)))
+        report = tmp / "out" / "gridsearch.csv"
+        report.write_text(f"threshold,mean_primal_integral\nBEST t={value}\n")
+        assert main(["evaluate", "--config", str(cfg)]) == 1  # a runtime failure exits 2
+        assert f"gridsearch report {report} has a bad BEST trailer" in capsys.readouterr().err
+        assert not (tmp / "out" / "eval.csv").exists()
 
     def test_collect_before_generate(self, workdir, capsys):
         _, cfg = workdir
@@ -276,7 +297,7 @@ class TestConfigText:
             family="knapsack", n_train=3, n_valid=4, n_test=5, n_vars=30, n_rows=9,
             n_items=11, n_dims=3, seed=7, collect_step_limit=70, collect_emphasis="off",
             pool_size=4, hidden_dim=6, lr=0.25, momentum=0.5, epochs=2, batch_size=3,
-            loss_mode="fullbatch", temperature=0.75, uniform_weights=True,
+            loss_mode="fullbatch", temperature=0.75,
             grid=(0.6, 0.95), step_limit=80, emphasis="aggressive",
             threshold=0.85, svg=True, jobs=2, outdir=str(tmp_path / "o"),
         )
@@ -301,7 +322,7 @@ class TestConfigText:
     )
     def test_bad_thresholds_rejected_before_any_work(self, workdir, capsys, extra, args, message):
         tmp, cfg = workdir
-        cfg.write_text(cfg.read_text() + extra)
+        override(cfg, extra)
         assert main(["generate", "--config", str(cfg), *args]) == 1
         assert message in capsys.readouterr().err
         assert not (tmp / "out").exists()
@@ -331,7 +352,7 @@ class TestConfigText:
     )
     def test_bad_stage_settings_rejected_before_any_work(self, workdir, capsys, extra, message):
         tmp, cfg = workdir
-        cfg.write_text(cfg.read_text() + extra)
+        override(cfg, extra)
         assert main(["generate", "--config", str(cfg)]) == 1
         assert message in capsys.readouterr().err
         assert not (tmp / "out").exists()
@@ -348,14 +369,14 @@ class TestConfigText:
     )
     def test_bad_instance_sizes_rejected_before_any_work(self, workdir, capsys, extra, message):
         tmp, cfg = workdir
-        cfg.write_text(cfg.read_text() + extra)
+        override(cfg, extra)
         assert main(["generate", "--config", str(cfg)]) == 1
         assert message in capsys.readouterr().err
         assert not (tmp / "out").exists()
 
     def test_sizes_of_the_other_family_are_not_checked(self, workdir):
         tmp, cfg = workdir
-        cfg.write_text(cfg.read_text() + "family=knapsack\nn_vars=0\nn_rows=0\n")
+        override(cfg, "family=knapsack\nn_vars=0\nn_rows=0\n")
         assert main(["generate", "--config", str(cfg)]) == 0
 
     def test_hash_inside_a_value_is_kept(self):
@@ -365,3 +386,7 @@ class TestConfigText:
     def test_trailing_comment_is_dropped(self):
         values = parse_config_text("outdir=/tmp/run # the second run\nseed=3\t# tab before\n")
         assert values == {"outdir": "/tmp/run", "seed": 3}
+
+    def test_repeated_key_rejected(self):
+        with pytest.raises(pipeline.UsageError, match="config line 2: repeated key 'seed'"):
+            parse_config_text("seed=1\nseed=2\n")

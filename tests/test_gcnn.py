@@ -444,8 +444,8 @@ class TestSolutionWeights:
         assert w[0] == pytest.approx(0.7310585786300049, abs=1e-12)
 
     def test_uniform_flag(self):
-        w = compute_solution_weights(self._pool([1.0, 5.0, 9.0]), uniform=True)
-        assert np.allclose(w, [1 / 3] * 3)
+        w = compute_solution_weights(self._pool([1.0, 5.0, 9.0]), temperature=math.inf)
+        assert w.tolist() == [1 / 3] * 3
 
     def test_better_objective_never_lighter(self):
         w = compute_solution_weights(self._pool([1.0, 2.0, 8.0]))

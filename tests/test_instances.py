@@ -128,6 +128,8 @@ class TestParsing:
         [
             "VAR x binary 0 2 1\n",  # binary bounds must be (0, 1)
             "VAR x continuous 3 1 1\n",  # lb > ub
+            "VAR x continuous -inf -inf 1\n",  # no finite value
+            "VAR x continuous inf inf 1\n",
             "VAR x binary 0 1 1\nVAR x binary 0 1 1\n",  # duplicate name
             "",  # no variables
             "NAME ../x\nVAR x binary 0 1 1\n",  # a name must not leave its directory

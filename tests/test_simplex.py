@@ -393,6 +393,23 @@ def test_warm_start_to_infeasible_child():
     assert child.status == "infeasible" and child.tableau is None
 
 
+def test_breakdown_from_an_inherited_tableau_is_re_solved_from_the_slack_basis():
+    # 1e7 x <= 1e7 - 1: the root's x = 1 - 1e-7 sits within FEASIBILITY_TOL of the
+    # child's bound x = 1, so the inherited solve stops with the row violated by 1
+    a = 1e7
+    inst = MilpInstance(
+        "scaled", (VarDef("x", "binary", 0.0, 1.0, -1.0),), (ConstraintDef("c", ((0, a),), a - 1),)
+    )
+    c, A, b, lo, hi = lp_arrays(inst)
+    root = _solve_lp_arrays(c, A, b, lo, hi)
+    assert root.status == "optimal" and 1.0 - root.primal_values[0] < simplex.FEASIBILITY_TOL
+    lo[0] = 1.0
+    with pytest.raises(NumericalBreakdown, match="violates a row"):
+        simplex._solve_dual(c, A, b, lo, hi, root.tableau)
+    child = _solve_lp_arrays(c, A, b, lo, hi, tableau=root.tableau)
+    assert child.status == solve_lp(inst, {0: 1.0}).status == "infeasible"
+
+
 @pytest.mark.parametrize("bad", ["singular", "near_singular"])
 def test_unusable_basis_falls_back_to_slack_start(bad):
     inst = generate_covering(3, 10, 6)
