@@ -36,7 +36,7 @@ from .instances import (
     parse_solution,
     serialize_solution,
 )
-from .simplex import DualTableau, _solve_lp_arrays, fixed_bounds
+from .simplex import DualTableau, LpResult, _solve_lp_arrays, fixed_bounds
 
 INT_TOL = 1e-6
 PRUNE_TOL = 1e-9
@@ -100,8 +100,13 @@ def solve(
     instance: MilpInstance,
     fixings: Mapping[int, int] | None,
     config: SolverConfig,
+    root: LpResult | None = None,
 ) -> tuple[IncumbentTrajectory, SolutionPool]:
     """Best-bound branch and bound under ``fixings`` (binary variables only).
+
+    ``root``, the root node's LP result when the caller has already solved
+    it (``simplex.solve_lp(instance)`` for an unfixed run), is used in place
+    of solving that LP again; the run is the same either way.
 
     Raises :class:`InfeasibleSubproblem` when the root relaxation is
     infeasible or the tree is exhausted without an integer-feasible point.
@@ -136,7 +141,10 @@ def solve(
         if bound_est >= incumbent_obj - PRUNE_TOL:
             continue  # stale: no strictly better solution under this node
         step += 1
-        res = _solve_lp_arrays(c, A, b, lo_n, hi_n, tableau=tableau)
+        if step == 1 and root is not None:
+            res = root
+        else:
+            res = _solve_lp_arrays(c, A, b, lo_n, hi_n, tableau=tableau)
         if res.status == "infeasible":
             continue
         node_bound = res.objective if res.status == "optimal" else -math.inf

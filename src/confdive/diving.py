@@ -3,15 +3,20 @@
 A threshold t in (0.5, 1] fixes a binary variable to 1 when its predicted
 probability is >= t and to 0 when it is <= 1 - t; everything else stays free.
 The fixed subproblem goes to branch and bound; if it proves infeasible, the
-variables are unfixed and the solver reruns with the same full step budget.
-Grid search scores each threshold by mean primal integral over a validation
-set and keeps the best (ties to the larger threshold).
+result is the instance's unfixed run (no fixings, the same full step budget),
+reused when that run has already run. Grid search scores each threshold by
+mean primal integral over a validation set and keeps the best (ties to the
+larger threshold).
+
+An instance's runs within one stage share one :class:`InstanceRuns`, which
+lives as long as the instance's cells, so grid cells with equal fixings
+share a run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -21,6 +26,7 @@ from .encoder import encode
 from .evaluation import eval_configs, primal_integral
 from .gcnn import GcnnModel, forward
 from .instances import MilpInstance
+from .simplex import LpResult, solve_lp
 
 #: Default threshold grid; brackets both conservative and aggressive fixing.
 DEFAULT_GRID = (0.55, 0.60, 0.65, 0.70, 0.75, 0.80, 0.85, 0.90, 0.95, 0.99, 1.0)
@@ -89,6 +95,44 @@ def to_instance_fixings(partial: PartialAssignment, binary_mask: np.ndarray) -> 
     return {int(positions[k]): v for k, v in partial.fixings.items()}
 
 
+class InstanceRuns:
+    """Branch-and-bound runs of one instance under one solver config, each
+    distinct fixing set run once.
+
+    ``root`` is the instance's cold root LP, solved on first use; the encoder
+    reads it, and the unfixed run's first node uses it in place of solving it
+    again. A fixing set maps to its trajectory, or to the
+    :class:`InfeasibleSubproblem` it raised, which :meth:`solve` raises again.
+    """
+
+    def __init__(self, instance: MilpInstance, config: SolverConfig):
+        self.instance = instance
+        self.config = config
+        self._root: LpResult | None = None
+        self._runs: dict[tuple, IncumbentTrajectory | InfeasibleSubproblem] = {}
+
+    @property
+    def root(self) -> LpResult:
+        if self._root is None:
+            self._root = solve_lp(self.instance)
+        return self._root
+
+    def solve(self, fixings: Mapping[int, int]) -> IncumbentTrajectory:
+        """The trajectory of ``bnb.solve`` under ``fixings``, run on first request."""
+        key = tuple(sorted(fixings.items()))
+        if key not in self._runs:
+            try:
+                self._runs[key], _ = bnb.solve(
+                    self.instance, fixings, self.config, root=None if key else self.root
+                )
+            except InfeasibleSubproblem as exc:
+                self._runs[key] = exc
+        run = self._runs[key]
+        if isinstance(run, InfeasibleSubproblem):
+            raise InfeasibleSubproblem(*run.args)
+        return run
+
+
 def dive_and_solve(
     instance: MilpInstance,
     model: GcnnModel,
@@ -96,23 +140,25 @@ def dive_and_solve(
     config: SolverConfig,
     *,
     probs: np.ndarray | None = None,
+    runs: InstanceRuns | None = None,
 ) -> tuple[IncumbentTrajectory, DiveOutcome]:
-    """Fix by threshold, solve, and rerun unfixed on infeasibility.
+    """Fix by threshold, solve, and fall back to the unfixed run on infeasibility.
 
     The returned trajectory is the executed run's: the fixed run when it is
-    feasible, otherwise the fallback run alone (with the full step budget).
-    ``probs``, one per binary variable, can be passed to reuse a forward pass.
+    feasible, otherwise the unfixed run alone (with the full step budget).
+    ``probs``, one per binary variable, can be passed to reuse a forward pass,
+    and ``runs`` (this instance's, under ``config``) to reuse its runs.
     """
+    if runs is None:
+        runs = InstanceRuns(instance, config)
     if probs is None:
-        probs = forward(model, encode(instance))
+        probs = forward(model, encode(instance, runs.root))
     partial = fix_by_threshold(probs, t)
     fixings = to_instance_fixings(partial, instance.binary_mask())
     try:
-        trajectory, _ = bnb.solve(instance, fixings, config)
-        return trajectory, DiveOutcome(False, partial)
+        return runs.solve(fixings), DiveOutcome(False, partial)
     except InfeasibleSubproblem:
-        trajectory, _ = bnb.solve(instance, {}, config)
-        return trajectory, DiveOutcome(True, partial)
+        return runs.solve({}), DiveOutcome(True, partial)
 
 
 def _instance_cells(
@@ -120,8 +166,9 @@ def _instance_cells(
 ) -> list[tuple[IncumbentTrajectory, DiveOutcome]]:
     """All thresholds for one instance; top-level so process pools can pick it up."""
     instance, model, ts, config = args
-    probs = forward(model, encode(instance))
-    return [dive_and_solve(instance, model, t, config, probs=probs) for t in ts]
+    runs = InstanceRuns(instance, config)
+    probs = forward(model, encode(instance, runs.root))
+    return [dive_and_solve(instance, model, t, config, probs=probs, runs=runs) for t in ts]
 
 
 def grid_search(

@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from .instances import MilpInstance
-from .simplex import solve_lp
+from .simplex import LpResult, solve_lp
 
 VAR_FEATURE_DIM = 5
 CON_FEATURE_DIM = 2
@@ -60,8 +60,12 @@ class BipartiteGraph:
         ]
 
 
-def encode(instance: MilpInstance) -> BipartiteGraph:
-    """Deterministic feature encoding; one edge per nonzero coefficient."""
+def encode(instance: MilpInstance, root: LpResult | None = None) -> BipartiteGraph:
+    """Deterministic feature encoding; one edge per nonzero coefficient.
+
+    ``root`` is the instance's root LP result (``simplex.solve_lp(instance)``)
+    when the caller has already solved it; otherwise it is solved here.
+    """
     n, m = instance.n, instance.m
     c = instance.objective_vector()
     lb, ub = instance.bounds_arrays()
@@ -71,7 +75,7 @@ def encode(instance: MilpInstance) -> BipartiteGraph:
     finite_bounds = np.abs(np.concatenate([lb[np.isfinite(lb)], ub[np.isfinite(ub)]]))
     b_denom_bounds = max(float(finite_bounds.max(initial=0.0)), 1e-12)
 
-    res = solve_lp(instance)
+    res = solve_lp(instance) if root is None else root
     root_vals = res.primal_values if res.status == "optimal" else np.zeros(n)
 
     var_feats = np.zeros((n, VAR_FEATURE_DIM))

@@ -231,23 +231,25 @@ def check_feasibility(instance: MilpInstance, values: np.ndarray) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _parse_float(token: str, line_no: int, col: int) -> float:
-    try:
-        x = float(token)
-    except ValueError:
-        raise InstanceFormatError(f"expected a number, got {token!r}", line_no, col) from None
-    if math.isnan(x):
-        raise InstanceFormatError("NaN is not a valid value", line_no, col)
-    return x
-
-
 _TOKEN = re.compile(r"\S+")
 
 
-def _tokenize(raw: str) -> tuple[list[str], list[int]]:
-    """Whitespace-separated tokens of a line and their 1-based columns."""
-    matches = list(_TOKEN.finditer(raw))
-    return [mt.group() for mt in matches], [mt.start() + 1 for mt in matches]
+def _column(raw: str, k: int) -> int:
+    """1-based column of token ``k`` of ``raw.split()``; only error messages need it."""
+    return [mt.start() + 1 for mt in _TOKEN.finditer(raw)][k]
+
+
+def _parse_float(token: str, line_no: int, raw: str, k: int) -> float:
+    """``token``, which is token ``k`` of ``raw.split()`` or a part of it, as a float."""
+    try:
+        x = float(token)
+    except ValueError:
+        raise InstanceFormatError(
+            f"expected a number, got {token!r}", line_no, _column(raw, k)
+        ) from None
+    if math.isnan(x):
+        raise InstanceFormatError("NaN is not a valid value", line_no, _column(raw, k))
+    return x
 
 
 def parse_instance(text: str) -> MilpInstance:
@@ -257,7 +259,7 @@ def parse_instance(text: str) -> MilpInstance:
     constraints: list[ConstraintDef] = []
     saw_name = False
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        tokens, cols = _tokenize(raw)
+        tokens = raw.split()
         if not tokens or tokens[0].startswith("#"):
             continue
         keyword = tokens[0].upper()
@@ -275,10 +277,10 @@ def parse_instance(text: str) -> MilpInstance:
                 )
             kind = tokens[2]
             if kind not in VAR_KINDS:
-                raise InstanceFormatError(f"unknown kind {kind!r}", line_no, cols[2])
-            lb = _parse_float(tokens[3], line_no, cols[3])
-            ub = _parse_float(tokens[4], line_no, cols[4])
-            obj = _parse_float(tokens[5], line_no, cols[5])
+                raise InstanceFormatError(f"unknown kind {kind!r}", line_no, _column(raw, 2))
+            lb = _parse_float(tokens[3], line_no, raw, 3)
+            ub = _parse_float(tokens[4], line_no, raw, 4)
+            obj = _parse_float(tokens[5], line_no, raw, 5)
             var_defs.append(VarDef(tokens[1], kind, lb, ub, obj))  # type: ignore[arg-type]
         elif keyword == "CON":
             if len(tokens) < 4:
@@ -287,22 +289,22 @@ def parse_instance(text: str) -> MilpInstance:
                 )
             sense = tokens[2].lower()
             if sense not in ("le", "ge", "eq"):
-                raise InstanceFormatError(f"unknown sense {sense!r}", line_no, cols[2])
-            rhs = _parse_float(tokens[3], line_no, cols[3])
+                raise InstanceFormatError(f"unknown sense {sense!r}", line_no, _column(raw, 2))
+            rhs = _parse_float(tokens[3], line_no, raw, 3)
             terms: list[tuple[int, float]] = []
-            for tok, col in zip(tokens[4:], cols[4:]):
-                idx_str, sep, coef_str = tok.partition(":")
+            for k in range(4, len(tokens)):
+                idx_str, sep, coef_str = tokens[k].partition(":")
                 if not sep:
                     raise InstanceFormatError(
-                        f"expected <idx>:<coef>, got {tok!r}", line_no, col
+                        f"expected <idx>:<coef>, got {tokens[k]!r}", line_no, _column(raw, k)
                     )
                 try:
                     idx = int(idx_str)
                 except ValueError:
                     raise InstanceFormatError(
-                        f"bad variable index {idx_str!r}", line_no, col
+                        f"bad variable index {idx_str!r}", line_no, _column(raw, k)
                     ) from None
-                terms.append((idx, _parse_float(coef_str, line_no, col)))
+                terms.append((idx, _parse_float(coef_str, line_no, raw, k)))
             if sense == "ge":
                 terms, rhs = [(j, -a) for j, a in terms], -rhs
             constraints.append(ConstraintDef(tokens[1], tuple(terms), rhs))
@@ -336,7 +338,7 @@ def parse_solution(text: str, instance: MilpInstance) -> Assignment:
     objective: float | None = None
     by_name: dict[str, float] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        tokens, cols = _tokenize(raw)
+        tokens = raw.split()
         if not tokens or tokens[0].startswith("#"):
             continue
         if tokens[0].upper() == "SOL":
@@ -344,13 +346,13 @@ def parse_solution(text: str, instance: MilpInstance) -> Assignment:
                 raise InstanceFormatError("duplicate SOL line", line_no, 1)
             if len(tokens) != 2:
                 raise InstanceFormatError("SOL takes exactly one objective", line_no, 1)
-            objective = _parse_float(tokens[1], line_no, cols[1])
+            objective = _parse_float(tokens[1], line_no, raw, 1)
         else:
             if len(tokens) != 2:
                 raise InstanceFormatError("expected '<varname> <value>'", line_no, 1)
             if tokens[0] in by_name:
                 raise InstanceFormatError(f"duplicate value for {tokens[0]!r}", line_no, 1)
-            by_name[tokens[0]] = _parse_float(tokens[1], line_no, cols[1])
+            by_name[tokens[0]] = _parse_float(tokens[1], line_no, raw, 1)
     if objective is None:
         raise InstanceFormatError("missing SOL line", 1, 1)
     values = np.empty(instance.n, dtype=np.float64)

@@ -20,6 +20,7 @@ from . import bnb
 from .bnb import IncumbentTrajectory, InfeasibleSubproblem, SolverConfig
 from .diving import (
     DEFAULT_GRID,
+    InstanceRuns,
     check_threshold,
     dive_and_solve,
     grid_search,
@@ -417,8 +418,9 @@ def _evaluate_one(
     args: tuple[MilpInstance, GcnnModel, float, SolverConfig],
 ) -> tuple[IncumbentTrajectory, IncumbentTrajectory, tuple[bool, float]]:
     instance, model, threshold, solver_config = args
-    plain_traj, _ = bnb.solve(instance, {}, solver_config)
-    dive_traj, outcome = dive_and_solve(instance, model, threshold, solver_config)
+    runs = InstanceRuns(instance, solver_config)  # the dive shares the plain run's root LP and run
+    plain_traj = runs.solve({})
+    dive_traj, outcome = dive_and_solve(instance, model, threshold, solver_config, runs=runs)
     return plain_traj, dive_traj, (outcome.fell_back, outcome.partial.coverage)
 
 

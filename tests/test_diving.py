@@ -1,14 +1,17 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from confdive.bnb import SolverConfig, solve
+from confdive import bnb, simplex
+from confdive.bnb import InfeasibleSubproblem, SolverConfig, solve
 from confdive.diving import (
     DEFAULT_GRID,
     InvalidThreshold,
+    _instance_cells,
     dive_and_solve,
     fix_by_threshold,
     grid_search,
@@ -16,7 +19,7 @@ from confdive.diving import (
     to_instance_fixings,
 )
 from confdive.encoder import encode
-from confdive.gcnn import init_model
+from confdive.gcnn import forward, init_model
 from confdive.instances import brute_force_solve, generate_covering, generate_knapsack
 
 CFG = SolverConfig(step_limit=200)
@@ -185,3 +188,117 @@ def test_default_grid_brackets_reported_optima():
     assert min(DEFAULT_GRID) <= 0.624 <= max(DEFAULT_GRID)
     assert min(DEFAULT_GRID) <= 0.93 <= max(DEFAULT_GRID)
     assert 1.0 in DEFAULT_GRID
+
+
+class TestSharedRuns:
+    """An instance's cells share its cold root LP and run each distinct fixing set
+    once, and return what one fresh ``solve`` per cell returns."""
+
+    GRID = (0.55, 0.6, 0.9, 0.99, 1.0)
+
+    @staticmethod
+    def fresh_cells(instance, model, ts, config):
+        """One unshared ``solve`` per cell, plus an unfixed rerun after an infeasible fixing."""
+        probs = forward(model, encode(instance))
+        cells = []
+        for t in ts:
+            partial = fix_by_threshold(probs, t)
+            fixings = to_instance_fixings(partial, instance.binary_mask())
+            try:
+                traj, _ = solve(instance, fixings, CFG)
+                fell_back = False
+            except InfeasibleSubproblem:
+                traj, _ = solve(instance, {}, CFG)
+                fell_back = True
+            cells.append((traj, fell_back, partial))
+        return cells
+
+    @staticmethod
+    def same_trajectory(a, b):
+        return (
+            a.terminal_step == b.terminal_step
+            and a.proved_optimal == b.proved_optimal
+            and [(e.step, e.objective, e.values.tobytes()) for e in a.events]
+            == [(e.step, e.objective, e.values.tobytes()) for e in b.events]
+        )
+
+    @pytest.mark.parametrize("family", ["covering", "knapsack"])
+    def test_cells_match_one_fresh_solve_per_cell(self, family):
+        shared_sets = fallbacks = 0
+        for seed in range(4):
+            if family == "covering":
+                instance = generate_covering(seed + 1200, 14, 8)
+            else:
+                instance = generate_knapsack(seed + 1300, 9, 2)
+            for model in (init_model(seed=seed), constant_model(0.8), constant_model(0.99)):
+                cells = _instance_cells((instance, model, self.GRID, CFG))
+                fresh = self.fresh_cells(instance, model, self.GRID, CFG)
+                for (traj, outcome), (ref, fell_back, partial) in zip(cells, fresh):
+                    assert self.same_trajectory(traj, ref)
+                    assert outcome.fell_back == fell_back
+                    assert outcome.partial.fixings == partial.fixings
+                    assert outcome.partial.coverage == partial.coverage
+                sets = [tuple(sorted(p.fixings.items())) for _, _, p in fresh]
+                shared_sets += len(sets) - len(set(sets))
+                fallbacks += sum(fell_back for _, fell_back, _ in fresh)
+        assert shared_sets > 0  # two thresholds fixed the same set, t=1.0 fixing nothing among them
+        if family == "knapsack":
+            assert fallbacks > 0
+
+    def count_runs(self, monkeypatch):
+        """Each instance's cold unfixed root LPs, and the ``solve`` calls per fixing set."""
+        root_lps, solves = Counter(), Counter()
+
+        def on_lp(module):
+            inner = module._solve_lp_arrays
+
+            def counted(c, A, b, lo, hi, tableau=None):
+                if tableau is None:
+                    root_lps[(c.tobytes(), lo.tobytes(), hi.tobytes())] += 1
+                return inner(c, A, b, lo, hi, tableau=tableau)
+
+            monkeypatch.setattr(module, "_solve_lp_arrays", counted)
+
+        on_lp(simplex)
+        on_lp(bnb)
+        inner_solve = bnb.solve
+
+        def counted_solve(instance, fixings, config, **kwargs):
+            solves[(instance.name, tuple(sorted(fixings.items())))] += 1
+            return inner_solve(instance, fixings, config, **kwargs)
+
+        monkeypatch.setattr(bnb, "solve", counted_solve)
+        return root_lps, solves
+
+    @staticmethod
+    def root_key(instance):
+        lo, hi = instance.bounds_arrays()
+        return (instance.objective_vector().tobytes(), lo.tobytes(), hi.tobytes())
+
+    def test_gridsearch_solves_each_root_and_fixing_set_once(self, monkeypatch):
+        instances = [generate_knapsack(s + 1400, 9, 2) for s in range(3)]
+        root_lps, solves = self.count_runs(monkeypatch)
+        grid_search(instances, constant_model(0.99), self.GRID, CFG)
+        assert all(root_lps[self.root_key(inst)] == 1 for inst in instances)
+        assert set(solves.values()) == {1}
+        # p = 0.99 fixes every item to 1 at t <= 0.99, which is infeasible; t=1.0 fixes nothing
+        assert sorted(solves) == sorted(
+            (inst.name, key) for inst in instances
+            for key in ((), tuple((j, 1) for j in range(inst.n)))
+        )
+
+    @pytest.mark.parametrize("threshold", [0.9, 1.0])
+    def test_evaluate_shares_the_plain_run(self, threshold, monkeypatch):
+        from confdive.pipeline import _evaluate_one
+
+        instance = generate_knapsack(1500, 9, 2)
+        root_lps, solves = self.count_runs(monkeypatch)
+        plain, dive, (fell_back, _) = _evaluate_one(
+            (instance, constant_model(0.99), threshold, CFG)
+        )
+        assert root_lps[self.root_key(instance)] == 1
+        assert set(solves.values()) == {1}
+        # t=0.9 fixes every item to 1, which is infeasible; t=1.0 fixes nothing
+        assert len(solves) == (2 if threshold == 0.9 else 1)
+        assert fell_back == (threshold == 0.9)
+        assert dive is plain

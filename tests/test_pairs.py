@@ -1,4 +1,4 @@
-"""The claim rule of ``tools/pairs.py`` on hand-made run times."""
+"""The claim rule and the bound check of ``tools/pairs.py`` on hand-made runs."""
 
 import sys
 from pathlib import Path
@@ -52,3 +52,34 @@ def test_gap_within_the_parent_iqr_does_not_hold():
 def test_unpaired_runs_rejected():
     with pytest.raises(ValueError, match="unpaired"):
         pairs.judge(PARENT, PARENT[:-1])
+
+
+def _runs(rss, ok=1.0):
+    return [{"pipeline_s": 1.0, "peak_rss_mb": r, "ok_share": ok} for r in rss]
+
+
+def test_bounds_come_from_the_benchmark_file():
+    bounds = pairs.load_bounds()
+    assert bounds["peak_rss_mb"] == ("lower", 0.1)
+    assert bounds["fix_feasible_rate"][0] == "higher"
+    assert "pipeline_s" in bounds
+
+
+def test_memory_past_its_bound_is_worse():
+    parent = _runs([48.0, 48.2, 48.1, 48.3])
+    bounds = {"pipeline_s": ("lower", 0.25), "peak_rss_mb": ("lower", 0.1),
+              "ok_share": ("higher", 0.05)}
+    # medians 48.15 and 53.0: 4.85 MB more, past 10% of 48.15
+    assert pairs.worse_metrics(parent, _runs([53.0, 52.9, 53.1, 53.0]), bounds) == ["peak_rss_mb"]
+    # 52.9 is within 10%
+    assert pairs.worse_metrics(parent, _runs([52.9, 52.8, 52.9, 53.0]), bounds) == []
+    # less memory is never worse
+    assert pairs.worse_metrics(parent, _runs([30.0, 30.0]), bounds) == []
+
+
+def test_a_higher_is_better_metric_is_worse_when_it_falls():
+    bounds = {"ok_share": ("higher", 0.05)}
+    assert pairs.worse_metrics(_runs([1, 1], ok=1.0), _runs([1, 1], ok=0.9), bounds) == ["ok_share"]
+    assert pairs.worse_metrics(_runs([1, 1], ok=1.0), _runs([1, 1], ok=0.96), bounds) == []
+    with pytest.raises(ValueError, match="direction"):
+        pairs.is_worse(1.0, 2.0, "sideways", 0.1)

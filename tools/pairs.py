@@ -11,7 +11,10 @@ and the quartiles; then the wins of the working tree (ties count for neither
 side) and whether the claim rule holds: the working tree wins at least 9 of 10
 pairs, and its median beats the parent's by more than the parent's
 interquartile range. For every other metric it prints each side's median and
-quartiles.
+quartiles. Every end-to-end metric of ``BENCHMARK.json`` is then judged by
+its ``better`` direction and ``bound``: it is marked ``WORSE`` when the
+working tree's median is worse than the parent's by more than ``bound`` times
+the parent's median.
 
 Each ``run.py`` starts in its own session. If this tool is stopped (Ctrl-C or
 SIGTERM), the running ``run.py`` gets SIGINT, which unwinds it through its own
@@ -38,7 +41,9 @@ from pathlib import Path
 from typing import Iterator
 
 ROOT = Path(__file__).resolve().parent.parent
-#: The judged metric; lower is better.
+#: The declared benchmark: each end-to-end metric's direction and bound.
+BENCHMARK = ROOT / "BENCHMARK.json"
+#: The metric a claimed gain is judged on; lower is better.
 METRIC = "pipeline_s"
 #: Share of pairs the working tree must win for a claimed gain to hold.
 WIN_SHARE = 0.9
@@ -92,6 +97,30 @@ def judge(parent: list[float], child: list[float]) -> Verdict:
     return Verdict(wins, losses, len(diffs) - wins - losses, p.median - c.median, p.iqr)
 
 
+def load_bounds(path: Path = BENCHMARK) -> dict[str, tuple[str, float]]:
+    """Each end-to-end metric's ``better`` direction and ``bound``, read from ``path``."""
+    spec = json.loads(path.read_text())
+    return {m["name"]: (m["better"], float(m["bound"])) for m in spec["end_to_end"]}
+
+
+def is_worse(parent: float, child: float, better: str, bound: float) -> bool:
+    """Whether ``child`` is worse than ``parent`` by more than ``bound`` times ``parent``."""
+    if better not in ("lower", "higher"):
+        raise ValueError(f"unknown direction {better!r}")
+    excess = child - parent if better == "lower" else parent - child
+    return excess > bound * abs(parent)
+
+
+def worse_metrics(parent: list[dict[str, float]], child: list[dict[str, float]],
+                  bounds: dict[str, tuple[str, float]]) -> list[str]:
+    """The bounded metrics whose working-tree median is worse than the parent's
+    by more than their bound, in ``bounds`` order."""
+    return [name for name, (better, bound) in bounds.items()
+            if name in parent[0]
+            and is_worse(summarize([r[name] for r in parent]).median,
+                         summarize([r[name] for r in child]).median, better, bound)]
+
+
 def stop(proc: subprocess.Popen) -> None:
     """End a run.py started in its own session, and what it started."""
     try:
@@ -143,6 +172,7 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--parent", default="HEAD", help="git revision to compare against")
     args = parser.parse_args(argv)
+    bounds = load_bounds()
 
     # a terminated run still stops run.py and removes its worktree: SIGTERM
     # unwinds like Ctrl-C. A shell starts background jobs with SIGINT ignored,
@@ -170,6 +200,7 @@ def main(argv=None) -> int:
     print(f"tree wins {v.wins}/{args.pairs} (losses {v.losses}, ties {v.ties}); "
           f"median gap {v.gap:.4f} vs parent iqr {v.parent_iqr:.4f}; "
           f"claim {'holds' if v.holds else 'does not hold'}")
+    worse = worse_metrics(runs["parent"], runs["tree"], bounds)
     for name in runs["parent"][0]:
         if name != METRIC:
             cells = []
@@ -177,6 +208,12 @@ def main(argv=None) -> int:
                 s = summarize([r[name] for r in rs])
                 cells.append(f"{side} {s.median:.4g} [{s.q1:.4g}, {s.q3:.4g}]")
             print(f"{name:18s} " + "  ".join(cells))
+    for name in worse:
+        better, bound = bounds[name]
+        print(f"WORSE {name}: the tree's median is worse than the parent's by more than "
+              f"{bound:g} of it ({better} is better)")
+    if not worse:
+        print(f"no bounded metric is worse than its bound: {', '.join(bounds)}")
     return 0
 
 
