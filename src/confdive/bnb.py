@@ -104,13 +104,16 @@ def solve(
 ) -> tuple[IncumbentTrajectory, SolutionPool]:
     """Best-bound branch and bound under ``fixings`` (binary variables only).
 
-    ``root``, the root node's LP result when the caller has already solved
-    it (``simplex.solve_lp(instance)`` for an unfixed run), is used in place
-    of solving that LP again; the run is the same either way.
+    ``root``, the unfixed root LP's result when the caller has already
+    solved it (``simplex.solve_lp(instance)``), is used in place of solving
+    that LP again; the run is the same either way. It belongs to an unfixed
+    run only, so passing it with ``fixings`` raises ``ValueError``.
 
     Raises :class:`InfeasibleSubproblem` when the root relaxation is
     infeasible or the tree is exhausted without an integer-feasible point.
     """
+    if root is not None and fixings:
+        raise ValueError("a root LP result can only stand for an unfixed run's root node")
     binary = instance.binary_mask()
     lo, hi = fixed_bounds(instance, fixings)
     for j, v in (fixings or {}).items():

@@ -3,20 +3,19 @@
 A threshold t in (0.5, 1] fixes a binary variable to 1 when its predicted
 probability is >= t and to 0 when it is <= 1 - t; everything else stays free.
 The fixed subproblem goes to branch and bound; if it proves infeasible, the
-result is the instance's unfixed run (no fixings, the same full step budget),
-reused when that run has already run. Grid search scores each threshold by
-mean primal integral over a validation set and keeps the best (ties to the
-larger threshold).
+variables are unfixed and the solver reruns with the same full step budget.
+Grid search scores each threshold by mean primal integral over a validation
+set and keeps the best (ties to the larger threshold).
 
-An instance's runs within one stage share one :class:`InstanceRuns`, which
-lives as long as the instance's cells, so grid cells with equal fixings
-share a run.
+An instance's cold root LP is solved once per stage: the encoder's root-LP
+feature reads it, and every unfixed run of that instance (a cell that fixes
+nothing, a fallback, evaluate's plain run) starts from it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -95,44 +94,6 @@ def to_instance_fixings(partial: PartialAssignment, binary_mask: np.ndarray) -> 
     return {int(positions[k]): v for k, v in partial.fixings.items()}
 
 
-class InstanceRuns:
-    """Branch-and-bound runs of one instance under one solver config, each
-    distinct fixing set run once.
-
-    ``root`` is the instance's cold root LP, solved on first use; the encoder
-    reads it, and the unfixed run's first node uses it in place of solving it
-    again. A fixing set maps to its trajectory, or to the
-    :class:`InfeasibleSubproblem` it raised, which :meth:`solve` raises again.
-    """
-
-    def __init__(self, instance: MilpInstance, config: SolverConfig):
-        self.instance = instance
-        self.config = config
-        self._root: LpResult | None = None
-        self._runs: dict[tuple, IncumbentTrajectory | InfeasibleSubproblem] = {}
-
-    @property
-    def root(self) -> LpResult:
-        if self._root is None:
-            self._root = solve_lp(self.instance)
-        return self._root
-
-    def solve(self, fixings: Mapping[int, int]) -> IncumbentTrajectory:
-        """The trajectory of ``bnb.solve`` under ``fixings``, run on first request."""
-        key = tuple(sorted(fixings.items()))
-        if key not in self._runs:
-            try:
-                self._runs[key], _ = bnb.solve(
-                    self.instance, fixings, self.config, root=None if key else self.root
-                )
-            except InfeasibleSubproblem as exc:
-                self._runs[key] = exc
-        run = self._runs[key]
-        if isinstance(run, InfeasibleSubproblem):
-            raise InfeasibleSubproblem(*run.args)
-        return run
-
-
 def dive_and_solve(
     instance: MilpInstance,
     model: GcnnModel,
@@ -140,25 +101,28 @@ def dive_and_solve(
     config: SolverConfig,
     *,
     probs: np.ndarray | None = None,
-    runs: InstanceRuns | None = None,
+    root: LpResult | None = None,
 ) -> tuple[IncumbentTrajectory, DiveOutcome]:
-    """Fix by threshold, solve, and fall back to the unfixed run on infeasibility.
+    """Fix by threshold, solve, and rerun unfixed on infeasibility.
 
     The returned trajectory is the executed run's: the fixed run when it is
-    feasible, otherwise the unfixed run alone (with the full step budget).
+    feasible, otherwise the fallback run alone (with the full step budget).
     ``probs``, one per binary variable, can be passed to reuse a forward pass,
-    and ``runs`` (this instance's, under ``config``) to reuse its runs.
+    and ``root``, the instance's ``simplex.solve_lp(instance)``, to reuse its
+    root LP in the encoder and in an unfixed run.
     """
-    if runs is None:
-        runs = InstanceRuns(instance, config)
     if probs is None:
-        probs = forward(model, encode(instance, runs.root))
+        if root is None:
+            root = solve_lp(instance)
+        probs = forward(model, encode(instance, root))
     partial = fix_by_threshold(probs, t)
     fixings = to_instance_fixings(partial, instance.binary_mask())
     try:
-        return runs.solve(fixings), DiveOutcome(False, partial)
+        trajectory, _ = bnb.solve(instance, fixings, config, root=None if fixings else root)
+        return trajectory, DiveOutcome(False, partial)
     except InfeasibleSubproblem:
-        return runs.solve({}), DiveOutcome(True, partial)
+        trajectory, _ = bnb.solve(instance, {}, config, root=root)
+        return trajectory, DiveOutcome(True, partial)
 
 
 def _instance_cells(
@@ -166,9 +130,9 @@ def _instance_cells(
 ) -> list[tuple[IncumbentTrajectory, DiveOutcome]]:
     """All thresholds for one instance; top-level so process pools can pick it up."""
     instance, model, ts, config = args
-    runs = InstanceRuns(instance, config)
-    probs = forward(model, encode(instance, runs.root))
-    return [dive_and_solve(instance, model, t, config, probs=probs, runs=runs) for t in ts]
+    root = solve_lp(instance)
+    probs = forward(model, encode(instance, root))
+    return [dive_and_solve(instance, model, t, config, probs=probs, root=root) for t in ts]
 
 
 def grid_search(

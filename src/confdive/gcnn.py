@@ -16,11 +16,7 @@ Backward divides the node-level message gradient by the degree, then gathers
 it per edge, and sums the per-edge gradient into per-node gradients before its
 matmuls. Every scatter over edges is a zero-start segment sum
 (``_scatter_add``), one flat ``np.bincount`` that equals ``np.add.at`` into
-zeros bit for bit. Its E x h keys, one array for the constraint side and one
-for the variable side, are built once per forward pass and live in that
-pass's cache, so a training step builds them twice per graph and its backward
-pass reuses them; ``_loss_and_gradients`` drops each graph's cache before the
-next graph's forward. Node degrees are cached on the graph.
+zeros bit for bit. Node degrees are cached on the graph.
 
 Two loss normalizations are provided: the per-graph one (each graph's
 log-likelihood is divided by its own node count before averaging over the
@@ -177,25 +173,16 @@ def _affine_relu(x: np.ndarray, block: Affine) -> tuple[np.ndarray, np.ndarray]:
     return z, np.maximum(z, 0.0)
 
 
-def _scatter_keys(idx: np.ndarray, h: int) -> np.ndarray:
-    """Flat bincount keys of an E x h scatter by ``idx``: ``idx[e] * h + column``."""
-    return (idx[:, None] * h + np.arange(h)).ravel()
-
-
-def _scatter_add(
-    idx: np.ndarray, rows: np.ndarray, n: int, keys: np.ndarray | None = None
-) -> np.ndarray:
+def _scatter_add(idx: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
     """Zero-start segment sum: row k of the result sums ``rows[e]`` over ``idx[e] == k``.
 
-    One flat ``np.bincount`` over E*h keys, ``_scatter_keys(idx, h)``, which
-    a caller that scatters by ``idx`` more than once passes in. bincount adds
-    its weights in input order into cells that start at +0.0, so the result
-    equals ``np.add.at`` into ``np.zeros((n, h))`` bit for bit.
+    One flat ``np.bincount`` over E*h keys. bincount adds its weights in input
+    order into cells that start at +0.0, so the result equals ``np.add.at``
+    into ``np.zeros((n, h))`` bit for bit.
     """
     h = rows.shape[1]
-    if keys is None:
-        keys = _scatter_keys(idx, h)
-    sums = np.bincount(keys, rows.ravel(), minlength=n * h)
+    keys = idx[:, None] * h + np.arange(h)
+    sums = np.bincount(keys.ravel(), rows.ravel(), minlength=n * h)
     return sums.astype(np.float64, copy=False).reshape(n, h)  # integer zeros when E == 0
 
 
@@ -210,46 +197,38 @@ def _check_graph(model: GcnnModel, graph: BipartiteGraph) -> None:
         )
 
 
-def _half_conv(model: GcnnModel, name: str, graph: BipartiteGraph, h_con, h_var, keys):
+def _half_conv(model: GcnnModel, name: str, graph: BipartiteGraph, h_con, h_var):
     """Half-convolution "v2c" (into constraints) or "c2v" (into variables).
 
     The message affine over [h_con[ci], h_var[vi], edge_feat] is computed as
     "project, then gather": each side's embeddings are multiplied by their
     slice of ``msg.w`` once per node, and the products are gathered per edge.
-    ``keys`` holds the graph's constraint-side and variable-side scatter keys
-    (``_scatter_keys``). Returns the receiving side's new embeddings and what
-    the backward pass needs, which holds the message ReLU's mask, not the
-    E x h pre-activation, and ``keys``.
+    Returns the receiving side's new embeddings and what the backward pass
+    needs, which holds the message ReLU's mask, not the E x h pre-activation.
     """
     msg, upd = getattr(model, f"{name}_msg"), getattr(model, f"{name}_upd")
     h = h_con.shape[1]
     ci, vi = graph.edge_con, graph.edge_var
-    con_keys, var_keys = keys
-    idx, idx_keys, own, deg = (
-        (ci, con_keys, h_con, graph.con_degree)
-        if name == "v2c"
-        else (vi, var_keys, h_var, graph.var_degree)
+    idx, own, deg = (
+        (ci, h_con, graph.con_degree) if name == "v2c" else (vi, h_var, graph.var_degree)
     )
     z_msg = (h_con @ msg.w[:h])[ci] + (h_var @ msg.w[h : 2 * h])[vi]
     z_msg += graph.edge_feat[:, None] * msg.w[2 * h]
     z_msg += msg.b
     active = z_msg > 0
-    s = _scatter_add(idx, np.maximum(z_msg, 0.0, out=z_msg), own.shape[0], idx_keys)
+    s = _scatter_add(idx, np.maximum(z_msg, 0.0, out=z_msg), own.shape[0])
     s /= deg[:, None]
     u_in = np.concatenate([own, s], axis=1)
     z_upd, h_upd = _affine_relu(u_in, upd)
-    return h_upd, (h_con, h_var, active, u_in, z_upd, keys)
+    return h_upd, (h_con, h_var, active, u_in, z_upd)
 
 
 def _forward_cached(model: GcnnModel, graph: BipartiteGraph) -> dict:
     _check_graph(model, graph)
     zv0, hv0 = _affine_relu(graph.var_feats, model.var_embed)
     zc0, hc0 = _affine_relu(graph.con_feats, model.con_embed)
-    h = model.hidden_dim
-    # built once per forward; both half-convolutions and their backward scatter with them
-    keys = (_scatter_keys(graph.edge_con, h), _scatter_keys(graph.edge_var, h))
-    hc1, v2c = _half_conv(model, "v2c", graph, hc0, hv0, keys)
-    hv1, c2v = _half_conv(model, "c2v", graph, hc1, hv0, keys)
+    hc1, v2c = _half_conv(model, "v2c", graph, hc0, hv0)
+    hv1, c2v = _half_conv(model, "c2v", graph, hc1, hv0)
 
     logits = (hv1 @ model.head.w + model.head.b)[:, 0]
     with np.errstate(over="ignore"):  # saturated logits are fine, the clip handles them
@@ -364,15 +343,15 @@ def _half_conv_backward(
     matmuls run over nodes, not edges. Returns d(loss)/d(h_con) and d(loss)/d(h_var).
     """
     msg, upd = getattr(model, f"{name}_msg"), getattr(model, f"{name}_upd")
-    h_con, h_var, active, u_in, z_upd, (con_keys, var_keys) = saved
+    h_con, h_var, active, u_in, z_upd = saved
     h = g_out.shape[1]
     ci, vi = graph.edge_con, graph.edge_var
     idx, deg = (ci, graph.con_degree) if name == "v2c" else (vi, graph.var_degree)
     g_u_in = _affine_relu_backward(f"{name}_upd", u_in, z_upd, g_out, grads) @ upd.w.T
     g_z = (g_u_in[:, h:] / deg[:, None])[idx]  # divide per node, then gather per edge
     g_z *= active
-    G_con = _scatter_add(ci, g_z, h_con.shape[0], con_keys)
-    G_var = _scatter_add(vi, g_z, h_var.shape[0], var_keys)
+    G_con = _scatter_add(ci, g_z, h_con.shape[0])
+    G_var = _scatter_add(vi, g_z, h_var.shape[0])
     g_w = grads[f"{name}_msg.w"]
     g_w[:h] += h_con.T @ G_con
     g_w[h : 2 * h] += h_var.T @ G_var
@@ -432,7 +411,6 @@ def _loss_and_gradients(
         total += term * scale
         if want_grad:
             _backward_graph(model, cache, -scale * term_grad, grads)
-        del cache  # so one graph's forward cache and scatter keys are alive at a time
     return -total, grads
 
 

@@ -20,7 +20,6 @@ from . import bnb
 from .bnb import IncumbentTrajectory, InfeasibleSubproblem, SolverConfig
 from .diving import (
     DEFAULT_GRID,
-    InstanceRuns,
     check_threshold,
     dive_and_solve,
     grid_search,
@@ -47,6 +46,7 @@ from .instances import (
     parse_instance,
     serialize_instance,
 )
+from .simplex import solve_lp
 
 SPLITS = ("train", "valid", "test")
 _SPLIT_SEED_OFFSET = {"train": 0, "valid": 500_000, "test": 750_000}
@@ -418,9 +418,9 @@ def _evaluate_one(
     args: tuple[MilpInstance, GcnnModel, float, SolverConfig],
 ) -> tuple[IncumbentTrajectory, IncumbentTrajectory, tuple[bool, float]]:
     instance, model, threshold, solver_config = args
-    runs = InstanceRuns(instance, solver_config)  # the dive shares the plain run's root LP and run
-    plain_traj = runs.solve({})
-    dive_traj, outcome = dive_and_solve(instance, model, threshold, solver_config, runs=runs)
+    root = solve_lp(instance)  # the plain run's root node, the dive's encoder feature and fallback
+    plain_traj, _ = bnb.solve(instance, {}, solver_config, root=root)
+    dive_traj, outcome = dive_and_solve(instance, model, threshold, solver_config, root=root)
     return plain_traj, dive_traj, (outcome.fell_back, outcome.partial.coverage)
 
 

@@ -163,11 +163,9 @@ def rescan_dive_arrays(
     return None
 
 
-def concat_half_conv(model, name: str, graph, h_con: np.ndarray, h_var: np.ndarray, keys=None):
+def concat_half_conv(model, name: str, graph, h_con: np.ndarray, h_var: np.ndarray):
     """Reference for ``gcnn._half_conv``: the message affine multiplies the
-    concatenated E x (2h+1) edge input [h_con[ci], h_var[vi], edge_feat] by ``msg.w``.
-
-    It scatters with ``np.add.at``, so it ignores the scatter ``keys``."""
+    concatenated E x (2h+1) edge input [h_con[ci], h_var[vi], edge_feat] by ``msg.w``."""
     msg, upd = getattr(model, f"{name}_msg"), getattr(model, f"{name}_upd")
     ci, vi = graph.edge_con, graph.edge_var
     idx, own = (ci, h_con) if name == "v2c" else (vi, h_var)

@@ -190,9 +190,9 @@ def test_default_grid_brackets_reported_optima():
     assert 1.0 in DEFAULT_GRID
 
 
-class TestSharedRuns:
-    """An instance's cells share its cold root LP and run each distinct fixing set
-    once, and return what one fresh ``solve`` per cell returns."""
+class TestSharedRootLp:
+    """An instance's cells share its cold root LP, and return what one fresh
+    ``solve`` per cell returns."""
 
     GRID = (0.55, 0.6, 0.9, 0.99, 1.0)
 
@@ -275,20 +275,18 @@ class TestSharedRuns:
         lo, hi = instance.bounds_arrays()
         return (instance.objective_vector().tobytes(), lo.tobytes(), hi.tobytes())
 
-    def test_gridsearch_solves_each_root_and_fixing_set_once(self, monkeypatch):
+    def test_gridsearch_solves_each_root_lp_once(self, monkeypatch):
         instances = [generate_knapsack(s + 1400, 9, 2) for s in range(3)]
         root_lps, solves = self.count_runs(monkeypatch)
         grid_search(instances, constant_model(0.99), self.GRID, CFG)
-        assert all(root_lps[self.root_key(inst)] == 1 for inst in instances)
-        assert set(solves.values()) == {1}
-        # p = 0.99 fixes every item to 1 at t <= 0.99, which is infeasible; t=1.0 fixes nothing
-        assert sorted(solves) == sorted(
-            (inst.name, key) for inst in instances
-            for key in ((), tuple((j, 1) for j in range(inst.n)))
-        )
+        for inst in instances:
+            assert root_lps[self.root_key(inst)] == 1
+            # p = 0.99 fixes every item to 1 at t <= 0.99, which is infeasible and
+            # falls back; t=1.0 fixes nothing: every cell runs unfixed from the one root LP
+            assert solves[(inst.name, ())] == len(self.GRID)
 
     @pytest.mark.parametrize("threshold", [0.9, 1.0])
-    def test_evaluate_shares_the_plain_run(self, threshold, monkeypatch):
+    def test_evaluate_solves_the_root_lp_once(self, threshold, monkeypatch):
         from confdive.pipeline import _evaluate_one
 
         instance = generate_knapsack(1500, 9, 2)
@@ -297,8 +295,15 @@ class TestSharedRuns:
             (instance, constant_model(0.99), threshold, CFG)
         )
         assert root_lps[self.root_key(instance)] == 1
-        assert set(solves.values()) == {1}
         # t=0.9 fixes every item to 1, which is infeasible; t=1.0 fixes nothing
-        assert len(solves) == (2 if threshold == 0.9 else 1)
+        assert solves[(instance.name, ())] == 2  # the plain run and the dive's unfixed run
         assert fell_back == (threshold == 0.9)
-        assert dive is plain
+        assert self.same_trajectory(dive, plain)
+
+    def test_a_root_lp_with_fixings_is_refused(self):
+        instance = generate_knapsack(1500, 9, 2)
+        root = simplex.solve_lp(instance)
+        with pytest.raises(ValueError, match="unfixed run"):
+            solve(instance, {0: 1}, CFG, root=root)
+        shared, _ = solve(instance, {}, CFG, root=root)
+        assert self.same_trajectory(shared, solve(instance, {}, CFG)[0])

@@ -1,5 +1,4 @@
 import math
-import weakref
 
 import numpy as np
 import pytest
@@ -612,15 +611,6 @@ class TestScatterAdd:
         assert got.dtype == np.float64 and got.shape == (n, h)
         assert got.tobytes() == self._add_at(idx, rows, n).tobytes()
 
-    @pytest.mark.parametrize("seed", range(5))
-    def test_passed_keys_give_the_same_bytes(self, seed):
-        rng = np.random.default_rng(seed)
-        n, h = int(rng.integers(1, 12)), int(rng.integers(1, 9))
-        idx = rng.integers(0, n, int(rng.integers(0, 40)))
-        rows = rng.normal(size=(idx.size, h))
-        keys = gcnn._scatter_keys(idx, h)
-        assert _scatter_add(idx, rows, n, keys).tobytes() == _scatter_add(idx, rows, n).tobytes()
-
     def test_no_edges_and_empty_side(self):
         for n, h in ((3, 2), (0, 2)):
             got = _scatter_add(np.zeros(0, dtype=np.int64), np.zeros((0, h)), n)
@@ -633,70 +623,6 @@ class TestScatterAdd:
         got = _scatter_add(idx, rows, 3)
         assert not np.signbit(got).any()
         assert got.tobytes() == self._add_at(idx, rows, 3).tobytes()
-
-
-class TestOneGraphAtATime:
-    """A training step builds each graph's scatter keys once per side and holds
-    one graph's forward cache at a time."""
-
-    @staticmethod
-    def packed_batch(count=3):
-        batch = []
-        for seed in range(count):
-            graph = encode(generate_covering(seed + 60, 14, 8))
-            k = int(graph.binary_mask.sum())
-            batch.append(GraphTargets(graph, [TargetSolution(np.ones(k), 1.0)]))
-        return _pack_batch(batch)
-
-    @staticmethod
-    def count_calls(monkeypatch, name):
-        calls = []
-        inner = getattr(gcnn, name)
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return inner(*args, **kwargs)
-
-        monkeypatch.setattr(gcnn, name, counted)
-        return calls
-
-    def test_keys_are_built_twice_per_graph_per_step(self, monkeypatch):
-        batch = self.packed_batch()
-        keys = self.count_calls(monkeypatch, "_scatter_keys")
-        scatters = self.count_calls(monkeypatch, "_scatter_add")
-        _loss_and_gradients(init_model(hidden_dim=8, seed=1), batch, "minibatch")
-        assert len(keys) == 2 * len(batch)
-        assert len(scatters) == 6 * len(batch)  # two forward, four backward scatters per graph
-        keys.clear()
-        train(init_model(hidden_dim=8, seed=1), [GraphTargets(item.graph, [
-            TargetSolution(v, 1.0) for v in item.values]) for item in batch],
-            TrainConfig(lr=0.1, epochs=2, batch_size=2))
-        assert len(keys) == 2 * 2 * len(batch)  # two sides, two epochs
-
-    def test_one_forward_cache_is_alive_at_a_time(self, monkeypatch):
-        class Cache(dict):  # a dict that a weak reference can point to
-            pass
-
-        refs = []
-        most = []
-        inner = gcnn._forward_cached
-
-        def alive():
-            return sum(ref() is not None for ref in refs)
-
-        def tracked(model, graph):
-            most.append(alive())  # caches still alive when the next forward starts
-            cache = Cache(inner(model, graph))
-            refs.append(weakref.ref(cache))
-            return cache
-
-        monkeypatch.setattr(gcnn, "_forward_cached", tracked)
-        batch = self.packed_batch()
-        for want_grad in (True, False):
-            most.clear()
-            _loss_and_gradients(init_model(hidden_dim=8, seed=1), batch, "minibatch", want_grad)
-            assert most == [0] * len(batch)
-            assert alive() == 0
 
 
 def random_graph(rng, n_vars, n_cons, n_edges):

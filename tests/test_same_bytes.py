@@ -92,7 +92,7 @@ def test_fast_paths_write_the_same_bytes_as_their_references(tmp_path, monkeypat
 
     calls = {"scatter": 0, "dive": 0, "loss": 0, "dual": 0}
 
-    def add_at(idx, rows, n, keys=None):  # np.add.at needs no scatter keys
+    def add_at(idx, rows, n):
         calls["scatter"] += 1
         out = np.zeros((n, rows.shape[1]))
         np.add.at(out, idx, rows)
