@@ -12,7 +12,6 @@ from confdive import (
     generate_knapsack,
     serialize_instance,
     solve,
-    solve_lp,
 )
 
 # Two seeded families. Knapsacks pack valuable items under capacity rows
@@ -30,8 +29,9 @@ oracle = brute_force_solve(knapsack)
 print(f"oracle optimum: {oracle.objective} at {oracle.values}")
 
 # The LP relaxation drops integrality; its bound is always at most the
-# integer optimum for minimization.
-relaxation = solve_lp(knapsack)
+# integer optimum for minimization. The instance solves it on first use and
+# keeps it: the encoder and every unfixed branch-and-bound run read it.
+relaxation = knapsack.root_lp
 print(f"LP relaxation:  {relaxation.objective:.3f} at {np.round(relaxation.primal_values, 3)}")
 
 # Branch and bound closes the gap exactly. The trajectory records every

@@ -36,7 +36,7 @@ from .instances import (
     parse_solution,
     serialize_solution,
 )
-from .simplex import DualTableau, LpResult, _solve_lp_arrays, fixed_bounds
+from .simplex import DualTableau, _solve_lp_arrays, fixed_bounds
 
 INT_TOL = 1e-6
 PRUNE_TOL = 1e-9
@@ -100,20 +100,15 @@ def solve(
     instance: MilpInstance,
     fixings: Mapping[int, int] | None,
     config: SolverConfig,
-    root: LpResult | None = None,
 ) -> tuple[IncumbentTrajectory, SolutionPool]:
     """Best-bound branch and bound under ``fixings`` (binary variables only).
 
-    ``root``, the unfixed root LP's result when the caller has already
-    solved it (``simplex.solve_lp(instance)``), is used in place of solving
-    that LP again; the run is the same either way. It belongs to an unfixed
-    run only, so passing it with ``fixings`` raises ``ValueError``.
+    Without fixings, the root node's LP is ``instance.root_lp``, which the
+    instance solves once and the encoder and every other unfixed run read.
 
     Raises :class:`InfeasibleSubproblem` when the root relaxation is
     infeasible or the tree is exhausted without an integer-feasible point.
     """
-    if root is not None and fixings:
-        raise ValueError("a root LP result can only stand for an unfixed run's root node")
     binary = instance.binary_mask()
     lo, hi = fixed_bounds(instance, fixings)
     for j, v in (fixings or {}).items():
@@ -144,8 +139,8 @@ def solve(
         if bound_est >= incumbent_obj - PRUNE_TOL:
             continue  # stale: no strictly better solution under this node
         step += 1
-        if step == 1 and root is not None:
-            res = root
+        if step == 1 and not fixings:
+            res = instance.root_lp
         else:
             res = _solve_lp_arrays(c, A, b, lo_n, hi_n, tableau=tableau)
         if res.status == "infeasible":
@@ -260,7 +255,7 @@ def _dive_arrays(
             res = _solve_lp_arrays(c, A, b, lo, hi)
             if res.status != "optimal":
                 return None
-            vals = res.primal_values
+            vals = res.primal_values.copy()
             slack = b - A @ vals
             order = _fractional_order(vals, int_mask)
             break  # round the new LP point

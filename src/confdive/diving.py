@@ -6,10 +6,6 @@ The fixed subproblem goes to branch and bound; if it proves infeasible, the
 variables are unfixed and the solver reruns with the same full step budget.
 Grid search scores each threshold by mean primal integral over a validation
 set and keeps the best (ties to the larger threshold).
-
-An instance's cold root LP is solved once per stage: the encoder's root-LP
-feature reads it, and every unfixed run of that instance (a cell that fixes
-nothing, a fallback, evaluate's plain run) starts from it.
 """
 
 from __future__ import annotations
@@ -25,7 +21,6 @@ from .encoder import encode
 from .evaluation import eval_configs, primal_integral
 from .gcnn import GcnnModel, forward
 from .instances import MilpInstance
-from .simplex import LpResult, solve_lp
 
 #: Default threshold grid; brackets both conservative and aggressive fixing.
 DEFAULT_GRID = (0.55, 0.60, 0.65, 0.70, 0.75, 0.80, 0.85, 0.90, 0.95, 0.99, 1.0)
@@ -101,27 +96,22 @@ def dive_and_solve(
     config: SolverConfig,
     *,
     probs: np.ndarray | None = None,
-    root: LpResult | None = None,
 ) -> tuple[IncumbentTrajectory, DiveOutcome]:
     """Fix by threshold, solve, and rerun unfixed on infeasibility.
 
     The returned trajectory is the executed run's: the fixed run when it is
     feasible, otherwise the fallback run alone (with the full step budget).
-    ``probs``, one per binary variable, can be passed to reuse a forward pass,
-    and ``root``, the instance's ``simplex.solve_lp(instance)``, to reuse its
-    root LP in the encoder and in an unfixed run.
+    ``probs``, one per binary variable, can be passed to reuse a forward pass.
     """
     if probs is None:
-        if root is None:
-            root = solve_lp(instance)
-        probs = forward(model, encode(instance, root))
+        probs = forward(model, encode(instance))
     partial = fix_by_threshold(probs, t)
     fixings = to_instance_fixings(partial, instance.binary_mask())
     try:
-        trajectory, _ = bnb.solve(instance, fixings, config, root=None if fixings else root)
+        trajectory, _ = bnb.solve(instance, fixings, config)
         return trajectory, DiveOutcome(False, partial)
     except InfeasibleSubproblem:
-        trajectory, _ = bnb.solve(instance, {}, config, root=root)
+        trajectory, _ = bnb.solve(instance, {}, config)
         return trajectory, DiveOutcome(True, partial)
 
 
@@ -130,9 +120,8 @@ def _instance_cells(
 ) -> list[tuple[IncumbentTrajectory, DiveOutcome]]:
     """All thresholds for one instance; top-level so process pools can pick it up."""
     instance, model, ts, config = args
-    root = solve_lp(instance)
-    probs = forward(model, encode(instance, root))
-    return [dive_and_solve(instance, model, t, config, probs=probs, root=root) for t in ts]
+    probs = forward(model, encode(instance))
+    return [dive_and_solve(instance, model, t, config, probs=probs) for t in ts]
 
 
 def grid_search(

@@ -2,9 +2,10 @@
 
 Variable features: [objective / max|c|, is_binary, lb / B, ub / B, root LP
 value / B] where B is the largest finite bound magnitude (guarded); the root
-LP value is 0 when the root LP is not optimal. Constraint
-features: [rhs / max(|b|, 1), row degree / n]. Edge feature: coefficient
-divided by the largest magnitude in its row. Everything lands in [-1, 1].
+LP is the instance's ``root_lp``, and its value is 0 when that LP is not
+optimal. Constraint features: [rhs / max(|b|, 1), row degree / n]. Edge
+feature: coefficient divided by the largest magnitude in its row. Everything
+lands in [-1, 1].
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from functools import cached_property
 import numpy as np
 
 from .instances import MilpInstance
-from .simplex import LpResult, solve_lp
 
 VAR_FEATURE_DIM = 5
 CON_FEATURE_DIM = 2
@@ -60,12 +60,8 @@ class BipartiteGraph:
         ]
 
 
-def encode(instance: MilpInstance, root: LpResult | None = None) -> BipartiteGraph:
-    """Deterministic feature encoding; one edge per nonzero coefficient.
-
-    ``root`` is the instance's root LP result (``simplex.solve_lp(instance)``)
-    when the caller has already solved it; otherwise it is solved here.
-    """
+def encode(instance: MilpInstance) -> BipartiteGraph:
+    """Deterministic feature encoding; one edge per nonzero coefficient."""
     n, m = instance.n, instance.m
     c = instance.objective_vector()
     lb, ub = instance.bounds_arrays()
@@ -75,7 +71,7 @@ def encode(instance: MilpInstance, root: LpResult | None = None) -> BipartiteGra
     finite_bounds = np.abs(np.concatenate([lb[np.isfinite(lb)], ub[np.isfinite(ub)]]))
     b_denom_bounds = max(float(finite_bounds.max(initial=0.0)), 1e-12)
 
-    res = solve_lp(instance) if root is None else root
+    res = instance.root_lp
     root_vals = res.primal_values if res.status == "optimal" else np.zeros(n)
 
     var_feats = np.zeros((n, VAR_FEATURE_DIM))

@@ -14,10 +14,17 @@ are ignored)::
 The instance name after ``NAME`` (default ``unnamed``) must match
 ``[A-Za-z0-9_][A-Za-z0-9_.-]*``: it becomes a file name
 (``plots/<name>.svg``) and a CSV field, so it holds no path separator,
-comma or leading dot.
+comma or leading dot. Variable and constraint names match it too, so that
+they are single tokens that do not start a comment, and no variable is
+named ``SOL`` in any case, so that a solution's lines read back.
 
 Solutions serialize as ``SOL <objective>`` followed by ``<varname> <value>``
 lines. Floats are written with ``repr`` so round-trips are exact.
+
+An instance owns its unfixed LP relaxation: ``MilpInstance.root_lp`` solves
+it on first use and keeps it for the instance's lifetime. The encoder's
+root-LP feature and the root node of every unfixed branch-and-bound run read
+that one result.
 """
 
 from __future__ import annotations
@@ -25,9 +32,13 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Literal
+from functools import cached_property
+from typing import TYPE_CHECKING, Literal
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .simplex import LpResult
 
 VarKind = Literal["binary", "integer", "continuous"]
 
@@ -39,7 +50,8 @@ FEAS_TOL = 1e-9
 CHECK_ROW_TOL, CHECK_BOUND_TOL, CHECK_INT_TOL = 1e-7, 1e-9, 1e-6
 #: Largest variable count the exhaustive oracle accepts (2^24 assignments).
 ORACLE_MAX_VARS = 24
-#: Legal instance names; a name becomes a file name and a CSV field.
+#: Legal instance, variable and constraint names; an instance name becomes a
+#: file name and a CSV field, and every name is one token of the text formats.
 _NAME = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_.-]*")
 
 
@@ -119,6 +131,14 @@ class MilpInstance:
         seen: set[str] = set()
         for i, v in enumerate(self.vars):
             path = f"vars[{i}]"
+            if not _NAME.fullmatch(v.name):
+                raise InstanceValidationError(
+                    f"{path}.name", f"variable name {v.name!r} does not match {_NAME.pattern}"
+                )
+            if v.name.upper() == "SOL":
+                raise InstanceValidationError(
+                    f"{path}.name", f"variable name {v.name!r} is the solution format's SOL keyword"
+                )
             if v.kind not in VAR_KINDS:
                 raise InstanceValidationError(f"{path}.kind", f"unknown kind {v.kind!r}")
             if v.name in seen:
@@ -139,6 +159,10 @@ class MilpInstance:
         n = len(self.vars)
         for k, con in enumerate(self.constraints):
             path = f"constraints[{k}]"
+            if not _NAME.fullmatch(con.name):
+                raise InstanceValidationError(
+                    f"{path}.name", f"constraint name {con.name!r} does not match {_NAME.pattern}"
+                )
             if not math.isfinite(con.rhs):
                 raise InstanceValidationError(f"{path}.rhs", "rhs must be finite")
             used: set[int] = set()
@@ -193,6 +217,13 @@ class MilpInstance:
         rows, cols, coefs = self.row_terms()
         A[rows, cols] = coefs
         return A, np.array([con.rhs for con in self.constraints], dtype=np.float64)
+
+    @cached_property
+    def root_lp(self) -> LpResult:
+        """The unfixed LP relaxation, ``simplex.solve_lp(self)``, solved on first use."""
+        from .simplex import solve_lp  # simplex builds on instances
+
+        return solve_lp(self)
 
 
 @dataclass(frozen=True, eq=False)

@@ -46,7 +46,6 @@ from .instances import (
     parse_instance,
     serialize_instance,
 )
-from .simplex import solve_lp
 
 SPLITS = ("train", "valid", "test")
 _SPLIT_SEED_OFFSET = {"train": 0, "valid": 500_000, "test": 750_000}
@@ -418,9 +417,8 @@ def _evaluate_one(
     args: tuple[MilpInstance, GcnnModel, float, SolverConfig],
 ) -> tuple[IncumbentTrajectory, IncumbentTrajectory, tuple[bool, float]]:
     instance, model, threshold, solver_config = args
-    root = solve_lp(instance)  # the plain run's root node, the dive's encoder feature and fallback
-    plain_traj, _ = bnb.solve(instance, {}, solver_config, root=root)
-    dive_traj, outcome = dive_and_solve(instance, model, threshold, solver_config, root=root)
+    plain_traj, _ = bnb.solve(instance, {}, solver_config)
+    dive_traj, outcome = dive_and_solve(instance, model, threshold, solver_config)
     return plain_traj, dive_traj, (outcome.fell_back, outcome.partial.coverage)
 
 

@@ -90,11 +90,17 @@ class DualTableau:
 
 @dataclass(frozen=True, eq=False)
 class LpResult:
+    """An LP's outcome. ``primal_values`` is read-only, since an instance's
+    ``root_lp`` is read by the encoder and by every unfixed run."""
+
     status: LpStatus
     objective: float
     primal_values: np.ndarray
     #: Final state of the dual path, from which a child LP can start.
     tableau: DualTableau | None = None
+
+    def __post_init__(self):
+        self.primal_values.setflags(write=False)
 
 
 def fixed_bounds(

@@ -158,7 +158,7 @@ def rescan_dive_arrays(
         res = _solve_lp_arrays(c, A, b, lo, hi)
         if res.status != "optimal":
             return None
-        vals = res.primal_values
+        vals = res.primal_values.copy()
         slack = (b - A @ vals) if A.shape[0] else slack
     return None
 

@@ -393,7 +393,8 @@ class TestPool:
 
 def test_children_warm_start_from_their_parent_basis(monkeypatch):
     """Every node after the root starts from the final tableau (and so the
-    basis) that its parent's LP result carried, with no factorization."""
+    basis) that its parent's LP result carried, with no factorization. The
+    root node's LP is the instance's own cold ``root_lp``."""
     solves = []
     original = bnb._solve_lp_arrays
 
@@ -406,10 +407,10 @@ def test_children_warm_start_from_their_parent_basis(monkeypatch):
     monkeypatch.setattr(bnb, "_dive_arrays", lambda *args: None)  # node LPs only
     inst = generate_covering(14, 22, 16)
     traj, _ = solve(inst, {}, SolverConfig(step_limit=40))
-    assert len(solves) == traj.terminal_step > 10
-    assert solves[0][2] is None
+    assert len(solves) == traj.terminal_step - 1 > 10  # every node but the root
     parents = {id(res.tableau): (lo, hi) for lo, hi, _, res in solves if res.tableau is not None}
-    for lo, hi, tableau, _ in solves[1:]:
+    parents[id(inst.root_lp.tableau)] = inst.bounds_arrays()
+    for lo, hi, tableau, _ in solves:
         assert tableau is not None and id(tableau) in parents
         assert tableau.pivots < simplex.REFACTOR_PIVOTS  # inherited, not factorized
         plo, phi = parents[id(tableau)]

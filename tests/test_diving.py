@@ -20,7 +20,13 @@ from confdive.diving import (
 )
 from confdive.encoder import encode
 from confdive.gcnn import forward, init_model
-from confdive.instances import brute_force_solve, generate_covering, generate_knapsack
+from confdive.instances import (
+    brute_force_solve,
+    generate_covering,
+    generate_knapsack,
+    parse_instance,
+    serialize_instance,
+)
 
 CFG = SolverConfig(step_limit=200)
 
@@ -191,24 +197,29 @@ def test_default_grid_brackets_reported_optima():
 
 
 class TestSharedRootLp:
-    """An instance's cells share its cold root LP, and return what one fresh
-    ``solve`` per cell returns."""
+    """An instance solves its unfixed root LP once (``root_lp``); its cells
+    return what one fresh ``solve`` per cell returns."""
 
     GRID = (0.55, 0.6, 0.9, 0.99, 1.0)
 
     @staticmethod
-    def fresh_cells(instance, model, ts, config):
-        """One unshared ``solve`` per cell, plus an unfixed rerun after an infeasible fixing."""
-        probs = forward(model, encode(instance))
+    def fresh(instance):
+        """An equal instance whose ``root_lp`` has not been computed."""
+        return parse_instance(serialize_instance(instance))
+
+    def fresh_cells(self, instance, model, ts, config):
+        """One ``solve`` per cell on its own fresh copy, plus an unfixed rerun
+        on another after an infeasible fixing."""
+        probs = forward(model, encode(self.fresh(instance)))
         cells = []
         for t in ts:
             partial = fix_by_threshold(probs, t)
             fixings = to_instance_fixings(partial, instance.binary_mask())
             try:
-                traj, _ = solve(instance, fixings, CFG)
+                traj, _ = solve(self.fresh(instance), fixings, config)
                 fell_back = False
             except InfeasibleSubproblem:
-                traj, _ = solve(instance, {}, CFG)
+                traj, _ = solve(self.fresh(instance), {}, config)
                 fell_back = True
             cells.append((traj, fell_back, partial))
         return cells
@@ -263,9 +274,9 @@ class TestSharedRootLp:
         on_lp(bnb)
         inner_solve = bnb.solve
 
-        def counted_solve(instance, fixings, config, **kwargs):
+        def counted_solve(instance, fixings, config):
             solves[(instance.name, tuple(sorted(fixings.items())))] += 1
-            return inner_solve(instance, fixings, config, **kwargs)
+            return inner_solve(instance, fixings, config)
 
         monkeypatch.setattr(bnb, "solve", counted_solve)
         return root_lps, solves
@@ -300,10 +311,36 @@ class TestSharedRootLp:
         assert fell_back == (threshold == 0.9)
         assert self.same_trajectory(dive, plain)
 
-    def test_a_root_lp_with_fixings_is_refused(self):
+    def test_one_root_lp_per_instance_across_every_stage(self, monkeypatch):
+        from confdive.pipeline import _collect_one, _evaluate_one
+
         instance = generate_knapsack(1500, 9, 2)
-        root = simplex.solve_lp(instance)
-        with pytest.raises(ValueError, match="unfixed run"):
-            solve(instance, {0: 1}, CFG, root=root)
-        shared, _ = solve(instance, {}, CFG, root=root)
-        assert self.same_trajectory(shared, solve(instance, {}, CFG)[0])
+        root_lps, solves = self.count_runs(monkeypatch)
+        encode(instance)
+        _collect_one((instance, SolverConfig(step_limit=50, collect_pool=True, pool_size=4)))
+        _instance_cells((instance, constant_model(0.99), self.GRID, CFG))
+        for threshold in (0.9, 1.0):  # a fallback, then a dive that fixes nothing
+            _evaluate_one((instance, constant_model(0.99), threshold, CFG))
+        assert solves[(instance.name, ())] == 1 + len(self.GRID) + 2 * 2
+        assert root_lps[self.root_key(instance)] == 1
+
+    def test_a_fixed_run_never_reads_the_root_lp(self):
+        instance = generate_covering(1200, 14, 8)
+        solve(instance, {0: 1, 3: 0}, CFG)
+        assert "root_lp" not in vars(instance)  # the cached property was never computed
+
+    @pytest.mark.parametrize(
+        "fixings", [{}, {0: 1}, {0: 1, 1: 1, 2: 0}], ids=["unfixed", "one_fixing", "three_fixings"]
+    )
+    def test_solve_is_the_same_whether_or_not_the_root_lp_came_first(self, fixings):
+        instance = generate_knapsack(1500, 9, 2)
+        warm = self.fresh(instance)
+        assert warm.root_lp.status == "optimal"  # computed before the run
+        first, _ = solve(warm, fixings, CFG)
+        cold, _ = solve(self.fresh(instance), fixings, CFG)
+        assert self.same_trajectory(first, cold)
+
+    def test_the_shared_root_point_is_read_only(self):
+        instance = generate_knapsack(1500, 9, 2)
+        with pytest.raises(ValueError, match="read-only"):
+            instance.root_lp.primal_values[0] = 0.5

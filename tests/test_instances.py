@@ -141,6 +141,34 @@ class TestParsing:
         with pytest.raises(InstanceValidationError):
             parse_instance(text)
 
+    @pytest.mark.parametrize(
+        "text, path",
+        [
+            ("VAR sol binary 0 1 1\n", "vars[0].name"),  # would read back as a second SOL line
+            ("VAR x binary 0 1 1\nVAR Sol binary 0 1 1\n", "vars[1].name"),
+            ("VAR x binary 0 1 1\nVAR #x binary 0 1 1\n", "vars[1].name"),  # a comment in a solution
+            ("VAR x binary 0 1 1\nCON #r le 1 0:1\n", "constraints[0].name"),
+        ],
+    )
+    def test_names_the_solution_format_cannot_read_back_are_rejected(self, text, path):
+        with pytest.raises(InstanceValidationError) as err:
+            parse_instance(text)
+        assert err.value.path == path
+
+    @pytest.mark.parametrize(
+        "var_name, con_name, path",
+        [
+            ("x y", "r", "vars[0].name"),
+            ("x", "row 1", "constraints[0].name"),
+            ("x", "", "constraints[0].name"),
+            ("SOL", "r", "vars[0].name"),
+        ],
+    )
+    def test_api_names_that_do_not_serialize_are_rejected(self, var_name, con_name, path):
+        with pytest.raises(InstanceValidationError) as err:
+            MilpInstance("t", (binary_var(var_name, 1.0),), (ConstraintDef(con_name, ((0, 1.0),), 1.0),))
+        assert err.value.path == path
+
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("family", ["knapsack", "covering"])
     def test_round_trip(self, family, seed):

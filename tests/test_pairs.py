@@ -83,3 +83,32 @@ def test_a_higher_is_better_metric_is_worse_when_it_falls():
     assert pairs.worse_metrics(_runs([1, 1], ok=1.0), _runs([1, 1], ok=0.96), bounds) == []
     with pytest.raises(ValueError, match="direction"):
         pairs.is_worse(1.0, 2.0, "sideways", 0.1)
+
+
+def _stdout(digest, correct=True):
+    """What run.py prints: a provenance line, the digest line, metric rows, the JSON line."""
+    return (
+        "# gcnn-wide seed=23 trace=0: python 3.11.7, numpy 2.4.6, nproc 2, cpu x\n"
+        f"# 12 passes, output sha256 {digest}\n"
+        "pipeline_s                                     0.5355 s\n"
+        "# full result: .bench_out/results/gcnn-wide-seed23-trace0.json\n"
+        '{"correct": %s, "attempted": 12, "failed": 0, '
+        '"metrics": {"pipeline_s": {"value": 0.5355, "unit": "s"}}}\n'
+        % ("true" if correct else "false")
+    )
+
+
+def test_a_run_gives_its_metrics_and_output_digest():
+    metrics, digest = pairs.parse_output(_stdout("3b73981b" + "0" * 56))
+    assert metrics == {"pipeline_s": 0.5355} and digest == "3b73981b" + "0" * 56
+    with pytest.raises(ValueError, match="failure"):
+        pairs.parse_output(_stdout("ab", correct=False))
+    with pytest.raises(ValueError, match="digest"):
+        pairs.parse_output(_stdout("ab").replace("output sha256", "output"))
+
+
+def test_differing_outputs_are_reported_by_pair():
+    same = [pairs.parse_output(_stdout("aa"))[1]] * 3
+    assert pairs.compare_digests(same, same) == "outputs identical on all 3 pairs"
+    assert (pairs.compare_digests(same, ["aa", "bb", "cc"])
+            == "OUTPUTS DIFFER on pair 2: parent aa tree bb")

@@ -14,7 +14,10 @@ interquartile range. For every other metric it prints each side's median and
 quartiles. Every end-to-end metric of ``BENCHMARK.json`` is then judged by
 its ``better`` direction and ``bound``: it is marked ``WORSE`` when the
 working tree's median is worse than the parent's by more than ``bound`` times
-the parent's median.
+the parent's median. Last, it compares the output sha256 that each run prints
+(``# N passes, output sha256 <hex>``) pair by pair, and says whether the two
+sides wrote the same outputs; a difference is reported, not failed, since a
+change of behaviour differs on purpose.
 
 Each ``run.py`` starts in its own session. If this tool is stopped (Ctrl-C or
 SIGTERM), the running ``run.py`` gets SIGINT, which unwinds it through its own
@@ -31,6 +34,7 @@ import argparse
 import contextlib
 import json
 import os
+import re
 import signal
 import statistics
 import subprocess
@@ -49,6 +53,8 @@ METRIC = "pipeline_s"
 WIN_SHARE = 0.9
 #: Seconds a stopped run.py gets to kill its stages.py session before SIGKILL.
 STOP_GRACE_S = 10.0
+#: run.py's line with the sha256 of every output file its passes wrote.
+DIGEST_LINE = re.compile(r"^# \d+ passes, output sha256 (\S+)$", re.MULTILINE)
 
 
 @dataclass(frozen=True)
@@ -147,7 +153,26 @@ def worktree(revision: str) -> Iterator[Path]:
                            cwd=ROOT, check=False, capture_output=True)
 
 
-def run_once(tree: Path, workload: str, seed: int) -> dict[str, float]:
+def parse_output(out: str) -> tuple[dict[str, float], str]:
+    """The end-to-end metrics of run.py's last (JSON) line, and its output digest."""
+    digest = DIGEST_LINE.search(out)
+    if digest is None:
+        raise ValueError("run.py printed no output digest")
+    result = json.loads(out.strip().splitlines()[-1])
+    if not result["correct"] or result["failed"]:
+        raise ValueError(f"the benchmark run reported a failure: {result}")
+    return {name: float(m["value"]) for name, m in result["metrics"].items()}, digest.group(1)
+
+
+def compare_digests(parent: list[str], tree: list[str]) -> str:
+    """Whether each pair's two runs wrote the same outputs; the first pair that did not."""
+    for i, (p, t) in enumerate(zip(parent, tree, strict=True), start=1):
+        if p != t:
+            return f"OUTPUTS DIFFER on pair {i}: parent {p} tree {t}"
+    return f"outputs identical on all {len(parent)} pairs"
+
+
+def run_once(tree: Path, workload: str, seed: int) -> tuple[dict[str, float], str]:
     cmd = [sys.executable, "benchmarks/run.py", "--workload", workload, "--seed", str(seed),
            "--trace", "0"]
     proc = subprocess.Popen(cmd, cwd=tree, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
@@ -159,10 +184,10 @@ def run_once(tree: Path, workload: str, seed: int) -> dict[str, float]:
             stop(proc)
     if proc.returncode != 0:
         raise RuntimeError(f"{tree}: run.py exited {proc.returncode}\n{err[-3000:]}")
-    result = json.loads(out.strip().splitlines()[-1])
-    if not result["correct"] or result["failed"]:
-        raise RuntimeError(f"{tree}: the benchmark run reported a failure: {result}")
-    return {name: float(m["value"]) for name, m in result["metrics"].items()}
+    try:
+        return parse_output(out)
+    except ValueError as exc:
+        raise RuntimeError(f"{tree}: {exc}") from None
 
 
 def main(argv=None) -> int:
@@ -181,12 +206,15 @@ def main(argv=None) -> int:
     signal.signal(signal.SIGTERM, lambda *_: sys.exit(1))
     signal.signal(signal.SIGINT, signal.default_int_handler)
     runs: dict[str, list[dict[str, float]]] = {"parent": [], "tree": []}
+    digests: dict[str, list[str]] = {"parent": [], "tree": []}
     with worktree(args.parent) as parent_dir:
         sides = {"parent": parent_dir, "tree": ROOT}
         for i in range(args.pairs):
             order = ("parent", "tree") if i % 2 == 0 else ("tree", "parent")
             for side in order:
-                runs[side].append(run_once(sides[side], args.workload, args.seed))
+                metrics, digest = run_once(sides[side], args.workload, args.seed)
+                runs[side].append(metrics)
+                digests[side].append(digest)
             print(f"pair {i + 1}: parent {runs['parent'][-1][METRIC]:.4f}  "
                   f"tree {runs['tree'][-1][METRIC]:.4f}", flush=True)
 
@@ -214,6 +242,7 @@ def main(argv=None) -> int:
               f"{bound:g} of it ({better} is better)")
     if not worse:
         print(f"no bounded metric is worse than its bound: {', '.join(bounds)}")
+    print(compare_digests(digests["parent"], digests["tree"]))
     return 0
 
 
