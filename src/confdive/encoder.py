@@ -21,6 +21,48 @@ VAR_FEATURE_DIM = 5
 CON_FEATURE_DIM = 2
 
 
+class ShapeMismatch(ValueError):
+    """Graph or target dimensions do not match the model, or each other."""
+
+
+@dataclass(frozen=True, eq=False)
+class Segments:
+    """One graph side's edges grouped by node, for a rank-major segment sum.
+
+    Edge ``e`` of node ``index[e]`` goes to row ``slot[e] = rank * n + index[e]``
+    of a ``(width * n) x h`` block, where ``rank`` counts the node's earlier
+    edges in input order; summing the block's ``width`` slabs of ``n`` rows adds
+    each node's rows in input order (``gcnn._scatter_add``).
+    """
+
+    index: np.ndarray  # [E] the node of each edge
+    degree: np.ndarray  # [n] edges per node, at least 1: the divisor of a mean message
+    slot: np.ndarray  # [E] rank_within_node * n + node
+    width: int  # the largest number of edges at one node, 0 without edges
+
+    @property
+    def n(self) -> int:
+        return self.degree.shape[0]
+
+    @property
+    def cells(self) -> int:
+        """Rows of the scatter block: ``width`` slabs of ``n``."""
+        return self.width * self.n
+
+
+def _segments(index: np.ndarray, n: int, field: str) -> Segments:
+    """Check one side's edge indices against its ``n`` nodes and group them."""
+    if not np.issubdtype(index.dtype, np.integer):
+        raise ShapeMismatch(f"{field} must hold integers, got {index.dtype}")
+    if index.size and (index.min() < 0 or index.max() >= n):
+        raise ShapeMismatch(f"{field} holds a node index outside [0, {n})")
+    counts = np.bincount(index, minlength=n)
+    order = np.argsort(index, kind="stable")
+    rank = np.empty(index.shape[0], dtype=np.int64)
+    rank[order] = np.arange(index.shape[0]) - (np.cumsum(counts) - counts)[index[order]]
+    return Segments(index, np.maximum(counts, 1), rank * n + index, int(counts.max(initial=0)))
+
+
 @dataclass(eq=False)
 class BipartiteGraph:
     var_feats: np.ndarray  # [n_vars, VAR_FEATURE_DIM]
@@ -43,14 +85,24 @@ class BipartiteGraph:
         return self.edge_con.shape[0]
 
     @cached_property
-    def con_degree(self) -> np.ndarray:
-        """Edges per constraint, at least 1: the divisor of a mean message."""
-        return np.maximum(np.bincount(self.edge_con, minlength=self.n_cons), 1)
+    def segments(self) -> tuple[Segments, Segments]:
+        """The constraint side's and the variable side's :class:`Segments`.
 
-    @cached_property
-    def var_degree(self) -> np.ndarray:
-        """Edges per variable, at least 1: the divisor of a mean message."""
-        return np.maximum(np.bincount(self.edge_var, minlength=self.n_vars), 1)
+        Built on first use, after checking the edge structure once: the GCNN
+        gathers with ``mode="clip"``, which would clamp an index out of range
+        instead of failing on it.
+        """
+        e = self.n_edges
+        if self.edge_con.shape != (e,) or self.edge_var.shape != (e,):
+            raise ShapeMismatch(f"edge_con {self.edge_con.shape} and edge_var "
+                                f"{self.edge_var.shape} must both be one row of edges")
+        if self.edge_feat.shape != (e,):
+            raise ShapeMismatch(f"edge_feat shape {self.edge_feat.shape} != ({e},)")
+        if self.binary_mask.shape != (self.n_vars,) or self.binary_mask.dtype != bool:
+            raise ShapeMismatch(f"binary_mask must be {self.n_vars} bools, got shape "
+                                f"{self.binary_mask.shape} of {self.binary_mask.dtype}")
+        return (_segments(self.edge_con, self.n_cons, "edge_con"),
+                _segments(self.edge_var, self.n_vars, "edge_var"))
 
     @property
     def edges(self) -> list[tuple[int, int, float]]:

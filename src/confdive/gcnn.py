@@ -14,9 +14,17 @@ gathered per edge, so no edges x (2h+1) input is built. The forward cache
 keeps only the message ReLU's bool mask, not its E x h pre-activation.
 Backward divides the node-level message gradient by the degree, then gathers
 it per edge, and sums the per-edge gradient into per-node gradients before its
-matmuls. Every scatter over edges is a zero-start segment sum
-(``_scatter_add``), one flat ``np.bincount`` that equals ``np.add.at`` into
-zeros bit for bit. Node degrees are cached on the graph.
+matmuls. Every scatter over edges is a rank-major segment sum
+(``_scatter_add``): the graph caches each side's ``Segments`` (edge index,
+degree, and each edge's slot ``rank_within_node * n + node``), the rows are
+written at their slots into a zeroed (width * n) x h block, and its width
+slabs are summed from +0.0, which adds each node's rows in input order and so
+equals ``np.add.at`` into zeros bit for bit. Every E x h array lives in one
+``_Workspace`` per ``train`` call (and per ``forward`` call), sized for the
+largest graph and written with ``out=``, so training does not free and fault
+in edge-sized pages between graphs. Gathers use ``np.take(..., mode="clip",
+out=...)``, because the default ``mode="raise"`` buffers its output; the
+graph rejects an out-of-range index once, when its segments are built.
 
 Two loss normalizations are provided: the per-graph one (each graph's
 log-likelihood is divided by its own node count before averaging over the
@@ -33,19 +41,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .bnb import SolutionPool
-from .encoder import CON_FEATURE_DIM, VAR_FEATURE_DIM, BipartiteGraph
+from .encoder import CON_FEATURE_DIM, VAR_FEATURE_DIM, BipartiteGraph, Segments, ShapeMismatch
 
 MODEL_FORMAT_VERSION = 1
 PROB_CLAMP = 1e-7  # probabilities are clamped to [PROB_CLAMP, 1 - PROB_CLAMP] inside losses
-
-
-class ShapeMismatch(ValueError):
-    """Graph or target dimensions do not match the model."""
 
 
 class DivergenceDetected(RuntimeError):
@@ -173,17 +177,50 @@ def _affine_relu(x: np.ndarray, block: Affine) -> tuple[np.ndarray, np.ndarray]:
     return z, np.maximum(z, 0.0)
 
 
-def _scatter_add(idx: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
-    """Zero-start segment sum: row k of the result sums ``rows[e]`` over ``idx[e] == k``.
+class _Workspace:
+    """The E x h buffers of one ``train`` or ``forward`` call, sized for its largest graph.
 
-    One flat ``np.bincount`` over E*h keys. bincount adds its weights in input
-    order into cells that start at +0.0, so the result equals ``np.add.at``
-    into ``np.zeros((n, h))`` bit for bit.
+    Forward and backward write every per-edge array into these with ``out=``,
+    so a training step allocates nothing of edge size, and glibc never trims
+    and faults those pages in again between graphs. A graph's two message
+    ReLU masks live here from its forward to its backward, which
+    ``_loss_and_gradients`` runs before the next graph's forward.
     """
-    h = rows.shape[1]
-    keys = idx[:, None] * h + np.arange(h)
-    sums = np.bincount(keys.ravel(), rows.ravel(), minlength=n * h)
-    return sums.astype(np.float64, copy=False).reshape(n, h)  # integer zeros when E == 0
+
+    def __init__(self, graphs: Iterable[BipartiteGraph], h: int):
+        graphs = list(graphs)
+        edges = max((g.n_edges for g in graphs), default=0) * h
+        cells = max((seg.cells for g in graphs for seg in g.segments), default=0) * h
+        self.h = h
+        # one float and one bool allocation: as five, glibc gave their pages
+        # back and faulted them in again on every forward call (1.5k minor
+        # faults per call on a covering 120x80 graph at h=64, against 30)
+        floats, bools = np.empty(2 * edges + cells), np.empty(2 * edges, dtype=bool)
+        self._buffers = {
+            "msg": floats[:edges], "tmp": floats[edges : 2 * edges], "block": floats[2 * edges :],
+            "v2c": bools[:edges], "c2v": bools[edges:],
+        }
+
+    def rows(self, name: str, n_rows: int) -> np.ndarray:
+        """The first ``n_rows`` x h of buffer ``name``: per-edge floats ("msg", "tmp"),
+        a half-convolution's message mask ("v2c", "c2v") or the scatter block ("block")."""
+        return self._buffers[name][: n_rows * self.h].reshape(n_rows, self.h)
+
+
+def _scatter_add(seg: Segments, rows: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """Zero-start segment sum: row k of the result sums ``rows[e]`` over ``seg.index[e] == k``.
+
+    Rank-major: ``block`` (``seg.cells`` x h, from the workspace) is
+    zeroed and row e is written at ``seg.slot[e]``, so slab r holds each
+    node's r-th edge. Summing the slabs from +0.0 adds each node's rows in
+    input order, padded with +0.0, so the result equals ``np.add.at`` into
+    ``np.zeros((n, h))`` bit for bit, ``-0.0`` rows included. Node-major,
+    ``(n, width, h)`` summed over axis 1, was slower at h=16 than the flat
+    bincount this replaced; rank-major was faster at both h=16 and h=64.
+    """
+    block.fill(0.0)
+    block[seg.slot] = rows
+    return block.reshape(seg.width, seg.n, rows.shape[1]).sum(axis=0, initial=0.0)
 
 
 def _check_graph(model: GcnnModel, graph: BipartiteGraph) -> None:
@@ -197,49 +234,54 @@ def _check_graph(model: GcnnModel, graph: BipartiteGraph) -> None:
         )
 
 
-def _half_conv(model: GcnnModel, name: str, graph: BipartiteGraph, h_con, h_var):
+def _half_conv(model: GcnnModel, name: str, graph: BipartiteGraph, h_con, h_var, ws: _Workspace):
     """Half-convolution "v2c" (into constraints) or "c2v" (into variables).
 
     The message affine over [h_con[ci], h_var[vi], edge_feat] is computed as
     "project, then gather": each side's embeddings are multiplied by their
-    slice of ``msg.w`` once per node, and the products are gathered per edge.
-    Returns the receiving side's new embeddings and what the backward pass
-    needs, which holds the message ReLU's mask, not the E x h pre-activation.
+    slice of ``msg.w`` once per node, and the products are gathered per edge
+    into ``ws``. Returns the receiving side's new embeddings and what the
+    backward pass needs, which holds the message ReLU's mask (in ``ws``), not
+    the E x h pre-activation.
     """
     msg, upd = getattr(model, f"{name}_msg"), getattr(model, f"{name}_upd")
     h = h_con.shape[1]
-    ci, vi = graph.edge_con, graph.edge_var
-    idx, own, deg = (
-        (ci, h_con, graph.con_degree) if name == "v2c" else (vi, h_var, graph.var_degree)
-    )
-    z_msg = (h_con @ msg.w[:h])[ci] + (h_var @ msg.w[h : 2 * h])[vi]
-    z_msg += graph.edge_feat[:, None] * msg.w[2 * h]
+    con_seg, var_seg = graph.segments
+    seg, own = (con_seg, h_con) if name == "v2c" else (var_seg, h_var)
+    # mode="clip" writes straight into out (the default "raise" buffers it);
+    # BipartiteGraph.segments has checked every index
+    e = graph.n_edges
+    z_msg = np.take(h_con @ msg.w[:h], graph.edge_con, axis=0, mode="clip", out=ws.rows("msg", e))
+    tmp = ws.rows("tmp", e)
+    z_msg += np.take(h_var @ msg.w[h : 2 * h], graph.edge_var, axis=0, mode="clip", out=tmp)
+    z_msg += np.multiply(graph.edge_feat[:, None], msg.w[2 * h], out=tmp)
     z_msg += msg.b
-    active = z_msg > 0
-    s = _scatter_add(idx, np.maximum(z_msg, 0.0, out=z_msg), own.shape[0])
-    s /= deg[:, None]
+    active = np.greater(z_msg, 0, out=ws.rows(name, e))
+    s = _scatter_add(seg, np.maximum(z_msg, 0.0, out=z_msg), ws.rows("block", seg.cells))
+    s /= seg.degree[:, None]
     u_in = np.concatenate([own, s], axis=1)
     z_upd, h_upd = _affine_relu(u_in, upd)
     return h_upd, (h_con, h_var, active, u_in, z_upd)
 
 
-def _forward_cached(model: GcnnModel, graph: BipartiteGraph) -> dict:
+def _forward_cached(model: GcnnModel, graph: BipartiteGraph, ws: _Workspace) -> dict:
+    """Forward pass through ``ws``; the cache holds ``ws``, whose masks its backward reads."""
     _check_graph(model, graph)
     zv0, hv0 = _affine_relu(graph.var_feats, model.var_embed)
     zc0, hc0 = _affine_relu(graph.con_feats, model.con_embed)
-    hc1, v2c = _half_conv(model, "v2c", graph, hc0, hv0)
-    hv1, c2v = _half_conv(model, "c2v", graph, hc1, hv0)
+    hc1, v2c = _half_conv(model, "v2c", graph, hc0, hv0, ws)
+    hv1, c2v = _half_conv(model, "c2v", graph, hc1, hv0, ws)
 
     logits = (hv1 @ model.head.w + model.head.b)[:, 0]
     with np.errstate(over="ignore"):  # saturated logits are fine, the clip handles them
         p = 1.0 / (1.0 + np.exp(-logits))
     p = np.clip(p, 1e-15, 1.0 - 1e-15)
-    return dict(graph=graph, zv0=zv0, zc0=zc0, v2c=v2c, c2v=c2v, hv1=hv1, p=p)
+    return dict(graph=graph, ws=ws, zv0=zv0, zc0=zc0, v2c=v2c, c2v=c2v, hv1=hv1, p=p)
 
 
 def forward(model: GcnnModel, graph: BipartiteGraph) -> np.ndarray:
     """Probabilities that each binary variable takes value 1, in mask order."""
-    cache = _forward_cached(model, graph)
+    cache = _forward_cached(model, graph, _Workspace([graph], model.hidden_dim))
     return cache["p"][graph.binary_mask]
 
 
@@ -335,7 +377,7 @@ def _affine_relu_backward(
 
 def _half_conv_backward(
     model: GcnnModel, name: str, graph: BipartiteGraph, saved: tuple,
-    g_out: np.ndarray, grads: dict[str, np.ndarray],
+    g_out: np.ndarray, grads: dict[str, np.ndarray], ws: _Workspace,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Back through :func:`_half_conv` from d(loss)/d(its output).
 
@@ -345,13 +387,15 @@ def _half_conv_backward(
     msg, upd = getattr(model, f"{name}_msg"), getattr(model, f"{name}_upd")
     h_con, h_var, active, u_in, z_upd = saved
     h = g_out.shape[1]
-    ci, vi = graph.edge_con, graph.edge_var
-    idx, deg = (ci, graph.con_degree) if name == "v2c" else (vi, graph.var_degree)
+    con_seg, var_seg = graph.segments
+    seg = con_seg if name == "v2c" else var_seg
     g_u_in = _affine_relu_backward(f"{name}_upd", u_in, z_upd, g_out, grads) @ upd.w.T
-    g_z = (g_u_in[:, h:] / deg[:, None])[idx]  # divide per node, then gather per edge
+    # divide per node, then gather per edge
+    g_z = np.take(g_u_in[:, h:] / seg.degree[:, None], seg.index, axis=0, mode="clip",
+                  out=ws.rows("msg", graph.n_edges))
     g_z *= active
-    G_con = _scatter_add(ci, g_z, h_con.shape[0])
-    G_var = _scatter_add(vi, g_z, h_var.shape[0])
+    G_con = _scatter_add(con_seg, g_z, ws.rows("block", con_seg.cells))
+    G_var = _scatter_add(var_seg, g_z, ws.rows("block", var_seg.cells))
     g_w = grads[f"{name}_msg.w"]
     g_w[:h] += h_con.T @ G_con
     g_w[h : 2 * h] += h_var.T @ G_var
@@ -378,8 +422,9 @@ def _backward_graph(
     grads["head.b"] += np.array([g_logit.sum()])
     g_hv1 = np.outer(g_logit, model.head.w[:, 0])
 
-    g_hc1, g_hv0 = _half_conv_backward(model, "c2v", graph, cache["c2v"], g_hv1, grads)
-    g_hc0, g_hv0_v2c = _half_conv_backward(model, "v2c", graph, cache["v2c"], g_hc1, grads)
+    ws = cache["ws"]
+    g_hc1, g_hv0 = _half_conv_backward(model, "c2v", graph, cache["c2v"], g_hv1, grads, ws)
+    g_hc0, g_hv0_v2c = _half_conv_backward(model, "v2c", graph, cache["v2c"], g_hc1, grads, ws)
     g_hv0 += g_hv0_v2c
 
     _affine_relu_backward("var_embed", graph.var_feats, cache["zv0"], g_hv0, grads)
@@ -387,16 +432,20 @@ def _backward_graph(
 
 
 def _loss_and_gradients(
-    model: GcnnModel, batch: Sequence[_PackedTargets], loss_mode: str, want_grad: bool = True
+    model: GcnnModel, batch: Sequence[_PackedTargets], loss_mode: str, want_grad: bool = True,
+    ws: _Workspace | None = None,
 ) -> tuple[float, dict[str, np.ndarray] | None]:
     """The ``loss_mode`` loss of ``batch`` and, if ``want_grad``, its parameter gradients.
 
     The only place that scales each graph's term by its minibatch or fullbatch weight.
+    ``ws`` must fit every graph of ``batch``; by default one is made for them.
     """
     if not batch:
         raise ValueError("batch is empty")
     if loss_mode not in ("minibatch", "fullbatch"):
         raise ValueError(f"unknown loss_mode {loss_mode!r}")
+    if ws is None:
+        ws = _Workspace((item.graph for item in batch), model.hidden_dim)
     grads = zero_gradients(model) if want_grad else None
     n_total = sum(int(item.graph.binary_mask.sum()) for item in batch)
     total = 0.0
@@ -404,7 +453,7 @@ def _loss_and_gradients(
         n_i = int(item.graph.binary_mask.sum())
         if n_i == 0 or not len(item.values):
             continue
-        cache = _forward_cached(model, item.graph)
+        cache = _forward_cached(model, item.graph, ws)
         probs = cache["p"][item.graph.binary_mask]
         term, term_grad = _graph_term(probs, item, want_grad)
         scale = 1.0 / (len(batch) * n_i if loss_mode == "minibatch" else n_total)
@@ -433,6 +482,7 @@ def train(
     """SGD with momentum over shuffled batches; returns (trained model, epoch losses)."""
     if not dataset:
         raise ValueError("dataset is empty")
+    ws = _Workspace((item.graph for item in dataset), model.hidden_dim)  # checks every graph
     packed = _pack_batch(dataset)  # targets never change, so they are checked once
     model = model.copy()
     params = dict(model.named_parameters())
@@ -444,7 +494,7 @@ def train(
         epoch_losses: list[float] = []
         for start in range(0, len(dataset), config.batch_size):
             batch = [packed[i] for i in order[start : start + config.batch_size]]
-            loss, grads = _loss_and_gradients(model, batch, config.loss_mode)
+            loss, grads = _loss_and_gradients(model, batch, config.loss_mode, True, ws)
             if not math.isfinite(loss):
                 raise DivergenceDetected(f"loss became {loss}")
             epoch_losses.append(loss)

@@ -163,9 +163,11 @@ def rescan_dive_arrays(
     return None
 
 
-def concat_half_conv(model, name: str, graph, h_con: np.ndarray, h_var: np.ndarray):
+def concat_half_conv(model, name: str, graph, h_con: np.ndarray, h_var: np.ndarray, ws=None):
     """Reference for ``gcnn._half_conv``: the message affine multiplies the
-    concatenated E x (2h+1) edge input [h_con[ci], h_var[vi], edge_feat] by ``msg.w``."""
+    concatenated E x (2h+1) edge input [h_con[ci], h_var[vi], edge_feat] by ``msg.w``.
+
+    Allocates its own arrays; the workspace ``ws`` is taken and not used."""
     msg, upd = getattr(model, f"{name}_msg"), getattr(model, f"{name}_upd")
     ci, vi = graph.edge_con, graph.edge_var
     idx, own = (ci, h_con) if name == "v2c" else (vi, h_var)
@@ -180,9 +182,10 @@ def concat_half_conv(model, name: str, graph, h_con: np.ndarray, h_var: np.ndarr
     return np.maximum(z_upd, 0.0), (m_in, z_msg, deg, u_in, z_upd)
 
 
-def concat_half_conv_backward(model, name: str, graph, saved: tuple, g_out: np.ndarray, grads: dict):
+def concat_half_conv_backward(model, name: str, graph, saved: tuple, g_out: np.ndarray, grads: dict,
+                              ws=None):
     """Reference for ``gcnn._half_conv_backward``: forms the E x (2h+1) edge-input
-    gradient and scatters its two embedding parts back to the nodes.
+    gradient and scatters its two embedding parts back to the nodes. ``ws`` is not used.
 
     Returns d(loss)/d(h_con) and d(loss)/d(h_var), and adds the block gradients into ``grads``.
     """

@@ -5,7 +5,7 @@ import pytest
 
 from confdive import gcnn
 from confdive.bnb import SolutionPool, SolverConfig, solve
-from confdive.encoder import CON_FEATURE_DIM, VAR_FEATURE_DIM, BipartiteGraph, encode
+from confdive.encoder import CON_FEATURE_DIM, VAR_FEATURE_DIM, BipartiteGraph, _segments, encode
 from confdive.gcnn import (
     DivergenceDetected,
     _graph_term,
@@ -588,14 +588,25 @@ class TestMalformedModelFiles:
             load_model(save_model(model))
 
 
+def scatter(idx, rows, n):
+    """``_scatter_add`` over the segments of ``idx``, into a block that starts as NaN."""
+    seg = _segments(np.asarray(idx, dtype=np.int64), n, "idx")
+    return _scatter_add(seg, rows, np.full((seg.cells, rows.shape[1]), np.nan))
+
+
 class TestScatterAdd:
-    """``_scatter_add``, the zero-start segment sum, against ``np.add.at`` into zeros, byte for byte."""
+    """``_scatter_add``, the rank-major segment sum, against ``np.add.at`` into zeros, byte for byte."""
 
     @staticmethod
     def _add_at(idx, rows, n):
         out = np.zeros((n, rows.shape[1]))
         np.add.at(out, idx, rows)
         return out
+
+    def _check(self, idx, rows, n):
+        got = scatter(idx, rows, n)
+        assert got.dtype == np.float64 and got.shape == (n, rows.shape[1])
+        assert got.tobytes() == self._add_at(idx, rows, n).tobytes()
 
     @pytest.mark.parametrize("seed", range(30))
     def test_matches_add_at_bytes(self, seed):
@@ -607,22 +618,36 @@ class TestScatterAdd:
             rows = rng.normal(size=(n_edges, 3 * h))[:, h : 2 * h]
         else:
             rows = rng.normal(size=(n_edges, h))
-        got = _scatter_add(idx, rows, n)
-        assert got.dtype == np.float64 and got.shape == (n, h)
-        assert got.tobytes() == self._add_at(idx, rows, n).tobytes()
+        self._check(idx, rows, n)
+
+    def test_one_node_holds_every_edge(self):
+        rng = np.random.default_rng(3)
+        rows = rng.normal(size=(34, 5))[::2]  # strided rows
+        idx = np.full(17, 2)
+        assert _segments(idx, 4, "idx").width == 17
+        self._check(idx, rows, 4)
+
+    def test_nodes_without_edges(self):
+        idx = np.array([5, 1, 5, 5, 1])
+        self._check(idx, np.random.default_rng(4).normal(size=(5, 3)), 8)
 
     def test_no_edges_and_empty_side(self):
         for n, h in ((3, 2), (0, 2)):
-            got = _scatter_add(np.zeros(0, dtype=np.int64), np.zeros((0, h)), n)
+            got = scatter(np.zeros(0, dtype=np.int64), np.zeros((0, h)), n)
             assert got.dtype == np.float64
             assert got.tobytes() == np.zeros((n, h)).tobytes()
 
     def test_negative_zero_rows_sum_to_positive_zero_as_add_at_does(self):
         # cells start at +0.0 and +0.0 + -0.0 is +0.0, in np.add.at into zeros as here
         idx, rows = np.array([0, 1, 1]), np.array([[2.0, -0.0], [-0.0, -0.0], [-0.0, 1.0]])
-        got = _scatter_add(idx, rows, 3)
+        got = scatter(idx, rows, 3)
         assert not np.signbit(got).any()
         assert got.tobytes() == self._add_at(idx, rows, 3).tobytes()
+
+    def test_slots_rank_edges_in_input_order(self):
+        seg = _segments(np.array([2, 0, 2, 2, 0]), 3, "idx")
+        assert seg.slot.tolist() == [2, 0, 5, 8, 3]  # rank * 3 + node
+        assert seg.degree.tolist() == [2, 1, 3] and seg.width == 3 and seg.n == 3
 
 
 def random_graph(rng, n_vars, n_cons, n_edges):
@@ -675,3 +700,82 @@ class TestProjectThenGather:
         for name, g_ref in ref.items():
             scale = np.abs(g_ref).max()
             assert np.abs(grads[name] - g_ref).max() <= 1e-10 * scale, name
+
+
+def sized_targets(seed, n_vars, n_rows):
+    """A covering graph of the given size with two random target solutions."""
+    g = encode(generate_covering(seed, n_vars, n_rows))
+    rng = np.random.default_rng(seed)
+    k = int(g.binary_mask.sum())
+    return GraphTargets(g, [TargetSolution(rng.integers(0, 2, k).astype(float), w) for w in (0.7, 0.3)])
+
+
+class TestWorkspace:
+    """One workspace serves every graph of a ``train`` call and leaks nothing between them."""
+
+    LARGE, SMALL = (40, 30), (9, 5)
+
+    def _fresh_workspace_per_graph(self, patch):
+        original = gcnn._forward_cached
+        patch.setattr(gcnn, "_forward_cached", lambda model, graph, ws: original(
+            model, graph, gcnn._Workspace([graph], model.hidden_dim)))
+
+    @pytest.mark.parametrize("sizes", [(LARGE, SMALL, LARGE), (SMALL, LARGE, SMALL)])
+    def test_mixed_sizes_train_as_with_a_fresh_workspace_per_graph(self, sizes, monkeypatch):
+        dataset = [sized_targets(700 + i, *size) for i, size in enumerate(sizes)]
+        cfg = TrainConfig(lr=0.2, epochs=3, batch_size=2, seed=4)
+        shared, curve = train(init_model(hidden_dim=8, seed=2), dataset, cfg)
+        with monkeypatch.context() as patch:
+            self._fresh_workspace_per_graph(patch)
+            fresh, fresh_curve = train(init_model(hidden_dim=8, seed=2), dataset, cfg)
+        assert save_model(shared) == save_model(fresh) and curve == fresh_curve
+
+    def test_forward_is_unchanged_by_training_on_a_larger_graph(self):
+        small, large = sized_targets(720, *self.SMALL), sized_targets(721, *self.LARGE)
+        model = init_model(hidden_dim=8, seed=3)
+        before = forward(model, small.graph)
+        train(model, [large], TrainConfig(lr=0.2, epochs=2))
+        assert forward(model, small.graph).tobytes() == before.tobytes()
+
+
+#: Each case replaces one field of a good three-variable, two-edge graph.
+MALFORMED = {
+    "short edge_feat": ("edge_feat", np.array([0.5])),
+    "short edge_var": ("edge_var", np.array([2])),
+    "negative edge_con": ("edge_con", np.array([0, -1])),
+    "edge_var past the last variable": ("edge_var", np.array([2, 3])),
+    "edge_con past the last constraint": ("edge_con", np.array([0, 2])),
+    "float edge_var": ("edge_var", np.array([2.0, 0.0])),
+    "short binary_mask": ("binary_mask", np.ones(2, dtype=bool)),
+    "integer binary_mask": ("binary_mask", np.ones(3, dtype=np.int64)),
+}
+
+
+def _malformed(case):
+    field, value = MALFORMED[case]
+    fields = dict(
+        var_feats=np.zeros((3, VAR_FEATURE_DIM)),
+        con_feats=np.zeros((2, CON_FEATURE_DIM)),
+        edge_con=np.array([0, 1]),
+        edge_var=np.array([2, 0]),
+        edge_feat=np.array([0.5, -1.0]),
+        binary_mask=np.ones(3, dtype=bool),
+    )
+    fields[field] = value
+    return BipartiteGraph(**fields)
+
+
+class TestMalformedGraphs:
+    """A graph whose edge structure does not hold together is rejected, naming the field."""
+
+    @pytest.mark.parametrize("case", MALFORMED)
+    def test_forward_rejects(self, case):
+        with pytest.raises(ShapeMismatch, match=MALFORMED[case][0]):
+            forward(init_model(hidden_dim=4, seed=0), _malformed(case))
+
+    @pytest.mark.parametrize("case", MALFORMED)
+    def test_train_rejects(self, case):
+        good = sized_targets(730, 6, 3)
+        bad = GraphTargets(_malformed(case), [TargetSolution(np.zeros(3), 1.0)])
+        with pytest.raises(ShapeMismatch, match=MALFORMED[case][0]):
+            train(init_model(hidden_dim=4, seed=0), [good, bad], TrainConfig(lr=0.1, epochs=1))

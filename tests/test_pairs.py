@@ -112,3 +112,24 @@ def test_differing_outputs_are_reported_by_pair():
     assert pairs.compare_digests(same, same) == "outputs identical on all 3 pairs"
     assert (pairs.compare_digests(same, ["aa", "bb", "cc"])
             == "OUTPUTS DIFFER on pair 2: parent aa tree bb")
+
+
+def test_stage_times_come_from_the_unbounded_metric_lines():
+    out = _stdout("aa").replace(
+        "pipeline_s                                     0.5355 s\n",
+        "pipeline_s                                     0.5355 s\n"
+        "collect_s                                     0.05125 s  (not bounded)\n"
+        "train_s                                        0.3301 s  (not bounded)\n"
+        "gridsearch_s                                  0.08004 s  (not bounded)\n"
+        "evaluate_s                                    0.07373 s  (not bounded)\n"
+        "dive_pi_ratio                                0.982143 ratio  (not bounded)\n",
+    )
+    stages = pairs.parse_stage_times(out)
+    assert stages == {"collect_s": 0.05125, "train_s": 0.3301, "gridsearch_s": 0.08004,
+                      "evaluate_s": 0.07373}
+    assert pairs.parse_output(out)[0] == {"pipeline_s": 0.5355}  # stage times are not judged
+    assert pairs.parse_stage_times(_stdout("aa")) == {}
+    tree = [dict(stages, train_s=0.25), dict(stages, train_s=0.27)]
+    table = pairs.stage_table([stages, stages], tree)
+    assert [line.split()[0] for line in table] == list(pairs.STAGES)
+    assert table[1] == "train_s            parent 0.3301  tree 0.2600  (-21.2%)"

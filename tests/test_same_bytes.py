@@ -92,10 +92,10 @@ def test_fast_paths_write_the_same_bytes_as_their_references(tmp_path, monkeypat
 
     calls = {"scatter": 0, "dive": 0, "loss": 0, "dual": 0}
 
-    def add_at(idx, rows, n):
+    def add_at(seg, rows, block):
         calls["scatter"] += 1
-        out = np.zeros((n, rows.shape[1]))
-        np.add.at(out, idx, rows)
+        out = np.zeros((seg.n, rows.shape[1]))
+        np.add.at(out, seg.index, rows)
         return out
 
     def rescan(*args):

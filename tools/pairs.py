@@ -14,10 +14,14 @@ interquartile range. For every other metric it prints each side's median and
 quartiles. Every end-to-end metric of ``BENCHMARK.json`` is then judged by
 its ``better`` direction and ``bound``: it is marked ``WORSE`` when the
 working tree's median is worse than the parent's by more than ``bound`` times
-the parent's median. Last, it compares the output sha256 that each run prints
-(``# N passes, output sha256 <hex>``) pair by pair, and says whether the two
-sides wrote the same outputs; a difference is reported, not failed, since a
-change of behaviour differs on purpose.
+the parent's median. To show which stage moved, it then prints each side's
+median of the stage times that ``run.py`` prints beside those metrics but
+does not bound (``collect_s``, ``train_s``, ``gridsearch_s``, ``evaluate_s``),
+with the tree's change against the parent; these are not judged. Last, it
+compares the output sha256 that each run prints (``# N passes, output sha256
+<hex>``) pair by pair, and says whether the two sides wrote the same outputs;
+a difference is reported, not failed, since a change of behaviour differs on
+purpose.
 
 Each ``run.py`` starts in its own session. If this tool is stopped (Ctrl-C or
 SIGTERM), the running ``run.py`` gets SIGINT, which unwinds it through its own
@@ -55,6 +59,10 @@ WIN_SHARE = 0.9
 STOP_GRACE_S = 10.0
 #: run.py's line with the sha256 of every output file its passes wrote.
 DIGEST_LINE = re.compile(r"^# \d+ passes, output sha256 (\S+)$", re.MULTILINE)
+#: The stage times run.py prints, unbounded, beside the end-to-end metrics.
+STAGES = ("collect_s", "train_s", "gridsearch_s", "evaluate_s")
+#: run.py's line for a metric it does not bound: ``<name> <value> <unit>  (not bounded)``.
+UNBOUNDED_LINE = re.compile(r"^(\w+)\s+(\S+) \S+  \(not bounded\)$", re.MULTILINE)
 
 
 @dataclass(frozen=True)
@@ -164,6 +172,24 @@ def parse_output(out: str) -> tuple[dict[str, float], str]:
     return {name: float(m["value"]) for name, m in result["metrics"].items()}, digest.group(1)
 
 
+def parse_stage_times(out: str) -> dict[str, float]:
+    """The stage times among run.py's printed metric lines, in ``STAGES`` order."""
+    printed = dict(UNBOUNDED_LINE.findall(out))
+    return {name: float(printed[name]) for name in STAGES if name in printed}
+
+
+def stage_table(parent: list[dict[str, float]], tree: list[dict[str, float]]) -> list[str]:
+    """One line per stage time both sides printed: each side's median and the tree's change."""
+    lines = []
+    for name in STAGES:
+        if all(name in r for r in parent + tree):
+            p = statistics.median(r[name] for r in parent)
+            t = statistics.median(r[name] for r in tree)
+            change = f"{(t - p) / p:+.1%}" if p else "n/a"
+            lines.append(f"{name:18s} parent {p:.4f}  tree {t:.4f}  ({change})")
+    return lines
+
+
 def compare_digests(parent: list[str], tree: list[str]) -> str:
     """Whether each pair's two runs wrote the same outputs; the first pair that did not."""
     for i, (p, t) in enumerate(zip(parent, tree, strict=True), start=1):
@@ -172,7 +198,7 @@ def compare_digests(parent: list[str], tree: list[str]) -> str:
     return f"outputs identical on all {len(parent)} pairs"
 
 
-def run_once(tree: Path, workload: str, seed: int) -> tuple[dict[str, float], str]:
+def run_once(tree: Path, workload: str, seed: int) -> tuple[dict[str, float], dict[str, float], str]:
     cmd = [sys.executable, "benchmarks/run.py", "--workload", workload, "--seed", str(seed),
            "--trace", "0"]
     proc = subprocess.Popen(cmd, cwd=tree, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
@@ -185,9 +211,10 @@ def run_once(tree: Path, workload: str, seed: int) -> tuple[dict[str, float], st
     if proc.returncode != 0:
         raise RuntimeError(f"{tree}: run.py exited {proc.returncode}\n{err[-3000:]}")
     try:
-        return parse_output(out)
+        metrics, digest = parse_output(out)
     except ValueError as exc:
         raise RuntimeError(f"{tree}: {exc}") from None
+    return metrics, parse_stage_times(out), digest
 
 
 def main(argv=None) -> int:
@@ -206,14 +233,16 @@ def main(argv=None) -> int:
     signal.signal(signal.SIGTERM, lambda *_: sys.exit(1))
     signal.signal(signal.SIGINT, signal.default_int_handler)
     runs: dict[str, list[dict[str, float]]] = {"parent": [], "tree": []}
+    stages: dict[str, list[dict[str, float]]] = {"parent": [], "tree": []}
     digests: dict[str, list[str]] = {"parent": [], "tree": []}
     with worktree(args.parent) as parent_dir:
         sides = {"parent": parent_dir, "tree": ROOT}
         for i in range(args.pairs):
             order = ("parent", "tree") if i % 2 == 0 else ("tree", "parent")
             for side in order:
-                metrics, digest = run_once(sides[side], args.workload, args.seed)
+                metrics, stage_times, digest = run_once(sides[side], args.workload, args.seed)
                 runs[side].append(metrics)
+                stages[side].append(stage_times)
                 digests[side].append(digest)
             print(f"pair {i + 1}: parent {runs['parent'][-1][METRIC]:.4f}  "
                   f"tree {runs['tree'][-1][METRIC]:.4f}", flush=True)
@@ -242,6 +271,9 @@ def main(argv=None) -> int:
               f"{bound:g} of it ({better} is better)")
     if not worse:
         print(f"no bounded metric is worse than its bound: {', '.join(bounds)}")
+    print("# stage time medians (s), not judged")
+    for line in stage_table(stages["parent"], stages["tree"]):
+        print(line)
     print(compare_digests(digests["parent"], digests["tree"]))
     return 0
 
