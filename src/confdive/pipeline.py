@@ -4,6 +4,14 @@ Configuration is a flat key=value file; every stage is a deterministic
 function of it. All randomness flows from the explicit seed, file writes are
 atomic (write-temp-then-rename), and instance-level work can fan out over a
 process pool without changing any output byte.
+
+Stages hand each other files. When several stages run in one process, a
+stage reuses the instances and the model that an earlier stage wrote or read,
+as long as the file's text is unchanged: every read still reads the file and
+skips only the parse. Shared instances keep their cached ``root_lp``, so an
+instance's cold root LP is solved once per process, not once per stage. The
+memo holds the files of one outdir; a stage under another outdir empties it.
+The CLI runs one stage per process and is unaffected.
 """
 
 from __future__ import annotations
@@ -14,7 +22,7 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 from . import bnb
 from .bnb import IncumbentTrajectory, InfeasibleSubproblem, SolverConfig
@@ -205,6 +213,40 @@ def _atomic_write(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
+class _FileMemo:
+    """Path -> (the text last read or written there, its parsed value), for the
+    files of one outdir.
+
+    ``read`` always reads the file and parses it unless the text is the one
+    recorded; values are shared between readers, so only immutable values or
+    values that readers copy belong here. Entering another outdir empties it.
+    """
+
+    def __init__(self) -> None:
+        self.outdir: Path | None = None
+        self.entries: dict[Path, tuple[str, Any]] = {}
+
+    def _enter(self, config: PipelineConfig) -> None:
+        if config.out != self.outdir:
+            self.entries.clear()
+            self.outdir = config.out
+
+    def record(self, config: PipelineConfig, path: Path, text: str, value: Any) -> None:
+        self._enter(config)
+        self.entries[path] = (text, value)
+
+    def read(self, config: PipelineConfig, path: Path, parse: Callable[[str], Any]) -> Any:
+        self._enter(config)
+        text = path.read_text()
+        entry = self.entries.get(path)
+        if entry is None or entry[0] != text:
+            entry = self.entries[path] = (text, parse(text))
+        return entry[1]
+
+
+_memo = _FileMemo()
+
+
 @contextmanager
 def _mapper(jobs: int) -> Iterator[Callable]:
     """``map``, or the map of a pool of ``jobs`` processes when ``jobs`` > 1."""
@@ -252,14 +294,17 @@ def load_split(config: PipelineConfig, split: str) -> list[MilpInstance]:
             f"missing {len(missing)} instance file(s) under {config.out / 'instances' / split}; "
             "run `generate` first"
         )
-    return [parse_instance(p.read_text()) for p in paths]
+    return [_memo.read(config, p, parse_instance) for p in paths]
 
 
 def run_generate(config: PipelineConfig) -> list[Path]:
     written = []
     for split in SPLITS:
         for i, path in enumerate(instance_paths(config, split)):
-            _atomic_write(path, serialize_instance(_make_instance(config, split, i)))
+            instance = _make_instance(config, split, i)
+            text = serialize_instance(instance)
+            _atomic_write(path, text)
+            _memo.record(config, path, text, instance)
             written.append(path)
     return written
 
@@ -358,7 +403,9 @@ def run_train(config: PipelineConfig) -> tuple[GcnnModel, list[float]]:
     dataset = build_dataset(config)
     model = init_model(hidden_dim=config.hidden_dim, seed=config.seed)
     model, curve = train(model, dataset, train_config(config))
-    _atomic_write(config.out / "model.txt", save_model(model))
+    model_text = save_model(model)
+    _atomic_write(config.out / "model.txt", model_text)
+    _memo.record(config, config.out / "model.txt", model_text, model.copy())
     lines = ["epoch,mean_loss"]
     lines += [f"{i},{repr(loss)}" for i, loss in enumerate(curve)]
     _atomic_write(config.out / "loss_curve.csv", "\n".join(lines) + "\n")
@@ -369,7 +416,7 @@ def load_trained_model(config: PipelineConfig) -> GcnnModel:
     path = config.out / "model.txt"
     if not path.exists():
         raise UsageError(f"model file {path} does not exist; run `train` first")
-    return load_model(path.read_text())
+    return _memo.read(config, path, load_model).copy()
 
 
 # ---------------------------------------------------------------------------

@@ -87,6 +87,10 @@ class DualTableau:
         for a in (self.M, self.costrow, self.basis, self.nonbasic_values):
             a.setflags(write=False)
 
+    def __setstate__(self, state):  # an unpickled array comes back writable
+        self.__dict__.update(state)
+        self.__post_init__()
+
 
 @dataclass(frozen=True, eq=False)
 class LpResult:
@@ -101,6 +105,10 @@ class LpResult:
 
     def __post_init__(self):
         self.primal_values.setflags(write=False)
+
+    def __setstate__(self, state):  # an unpickled array comes back writable
+        self.__dict__.update(state)
+        self.__post_init__()
 
 
 def fixed_bounds(

@@ -1,5 +1,6 @@
 """The claim rule and the bound check of ``tools/pairs.py`` on hand-made runs."""
 
+import argparse
 import sys
 from pathlib import Path
 
@@ -133,3 +134,11 @@ def test_stage_times_come_from_the_unbounded_metric_lines():
     table = pairs.stage_table([stages, stages], tree)
     assert [line.split()[0] for line in table] == list(pairs.STAGES)
     assert table[1] == "train_s            parent 0.3301  tree 0.2600  (-21.2%)"
+
+
+def test_seed_takes_one_seed_or_a_comma_list():
+    assert pairs.parse_seeds("23") == [23]
+    assert pairs.parse_seeds("23,5") == [23, 5]
+    for bad in ("23,,5", "x", "5,5"):
+        with pytest.raises(argparse.ArgumentTypeError):
+            pairs.parse_seeds(bad)

@@ -1,4 +1,6 @@
+import copy
 import inspect
+import pickle
 
 import numpy as np
 import pytest
@@ -541,6 +543,18 @@ def test_crossed_bounds_are_infeasible():
     lo[3], hi[3] = 1.0, 0.0
     assert _solve_lp_arrays(c, A, b, lo, hi).status == "infeasible"
     assert simplex._solve_primal(c, A, b, lo, hi).status == "infeasible"
+
+
+@pytest.mark.parametrize("clone", [lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy],
+                         ids=["pickle", "deepcopy"])
+def test_a_cloned_root_lp_stays_read_only(clone):
+    instance = generate_covering(5, 16, 10)
+    root = instance.root_lp
+    twin = clone(instance).__dict__["root_lp"]  # the cached result travels with the instance
+    assert twin.primal_values.tobytes() == root.primal_values.tobytes()
+    tableau = twin.tableau
+    arrays = [twin.primal_values, tableau.M, tableau.costrow, tableau.basis, tableau.nonbasic_values]
+    assert not any(a.flags.writeable for a in arrays)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
 """Alternating benchmark pairs: a parent revision against the working tree.
 
-    python3 tools/pairs.py --workload covering-aggr --seed 23 --pairs 10 [--parent HEAD]
+    python3 tools/pairs.py --workload covering-aggr --seed 23,5 --pairs 10 [--parent HEAD]
 
 Checks the parent revision out into a temporary ``git worktree`` (removed
-afterwards), then runs ``benchmarks/run.py --trace 0`` (at its own default
-``--seconds``) N times on each side, alternating which side goes first, and
-reads the end-to-end metrics from the JSON line each run prints. For
+afterwards), then, for each seed of ``--seed`` (one seed or a comma list) in
+turn, runs ``benchmarks/run.py --trace 0`` (at its own default ``--seconds``)
+N times on each side, alternating which side goes first, and reads the
+end-to-end metrics from the JSON line each run prints. It prints one block
+per seed, judged on that seed's runs alone, as follows. For
 ``pipeline_s`` (lower is better) it prints every run of each side, the median
 and the quartiles; then the wins of the working tree (ties count for neither
 side) and whether the claim rule holds: the working tree wins at least 9 of 10
@@ -217,44 +219,42 @@ def run_once(tree: Path, workload: str, seed: int) -> tuple[dict[str, float], di
     return metrics, parse_stage_times(out), digest
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--workload", required=True)
-    parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--parent", default="HEAD", help="git revision to compare against")
-    args = parser.parse_args(argv)
-    bounds = load_bounds()
+def parse_seeds(text: str) -> list[int]:
+    """``--seed``'s value: one seed, or distinct seeds in a comma list such as ``23,5``."""
+    try:
+        seeds = [int(tok) for tok in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a seed or a comma list of seeds, got {text!r}") from None
+    if len(set(seeds)) != len(seeds):
+        raise argparse.ArgumentTypeError(f"repeated seed in {text!r}")
+    return seeds
 
-    # a terminated run still stops run.py and removes its worktree: SIGTERM
-    # unwinds like Ctrl-C. A shell starts background jobs with SIGINT ignored,
-    # and run.py would inherit that; a handled SIGINT is reset to the default
-    # on exec, so stop()'s SIGINT reaches run.py as KeyboardInterrupt.
-    signal.signal(signal.SIGTERM, lambda *_: sys.exit(1))
-    signal.signal(signal.SIGINT, signal.default_int_handler)
+
+def seed_block(sides: dict[str, Path], workload: str, seed: int, n_pairs: int, parent: str,
+               bounds: dict[str, tuple[str, float]]) -> None:
+    """Run ``n_pairs`` alternating pairs at one seed and print their judged block."""
     runs: dict[str, list[dict[str, float]]] = {"parent": [], "tree": []}
     stages: dict[str, list[dict[str, float]]] = {"parent": [], "tree": []}
     digests: dict[str, list[str]] = {"parent": [], "tree": []}
-    with worktree(args.parent) as parent_dir:
-        sides = {"parent": parent_dir, "tree": ROOT}
-        for i in range(args.pairs):
-            order = ("parent", "tree") if i % 2 == 0 else ("tree", "parent")
-            for side in order:
-                metrics, stage_times, digest = run_once(sides[side], args.workload, args.seed)
-                runs[side].append(metrics)
-                stages[side].append(stage_times)
-                digests[side].append(digest)
-            print(f"pair {i + 1}: parent {runs['parent'][-1][METRIC]:.4f}  "
-                  f"tree {runs['tree'][-1][METRIC]:.4f}", flush=True)
+    for i in range(n_pairs):
+        order = ("parent", "tree") if i % 2 == 0 else ("tree", "parent")
+        for side in order:
+            metrics, stage_times, digest = run_once(sides[side], workload, seed)
+            runs[side].append(metrics)
+            stages[side].append(stage_times)
+            digests[side].append(digest)
+        print(f"seed {seed} pair {i + 1}: parent {runs['parent'][-1][METRIC]:.4f}  "
+              f"tree {runs['tree'][-1][METRIC]:.4f}", flush=True)
 
-    print(f"# {args.workload} seed={args.seed} {METRIC}, parent={args.parent}")
+    print(f"# {workload} seed={seed} {METRIC}, parent={parent}")
     judged = {side: [r[METRIC] for r in rs] for side, rs in runs.items()}
     for side, values in judged.items():
         s = summarize(values)
         print(f"{side:6s} runs {' '.join(f'{v:.4f}' for v in values)}")
         print(f"{side:6s} median {s.median:.4f}  q1 {s.q1:.4f}  q3 {s.q3:.4f}  iqr {s.iqr:.4f}")
     v = judge(judged["parent"], judged["tree"])
-    print(f"tree wins {v.wins}/{args.pairs} (losses {v.losses}, ties {v.ties}); "
+    print(f"tree wins {v.wins}/{n_pairs} (losses {v.losses}, ties {v.ties}); "
           f"median gap {v.gap:.4f} vs parent iqr {v.parent_iqr:.4f}; "
           f"claim {'holds' if v.holds else 'does not hold'}")
     worse = worse_metrics(runs["parent"], runs["tree"], bounds)
@@ -274,7 +274,29 @@ def main(argv=None) -> int:
     print("# stage time medians (s), not judged")
     for line in stage_table(stages["parent"], stages["tree"]):
         print(line)
-    print(compare_digests(digests["parent"], digests["tree"]))
+    print(compare_digests(digests["parent"], digests["tree"]), flush=True)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seed", type=parse_seeds, required=True,
+                        help="a seed, or a comma list of seeds judged one by one")
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--parent", default="HEAD", help="git revision to compare against")
+    args = parser.parse_args(argv)
+    bounds = load_bounds()
+
+    # a terminated run still stops run.py and removes its worktree: SIGTERM
+    # unwinds like Ctrl-C. A shell starts background jobs with SIGINT ignored,
+    # and run.py would inherit that; a handled SIGINT is reset to the default
+    # on exec, so stop()'s SIGINT reaches run.py as KeyboardInterrupt.
+    signal.signal(signal.SIGTERM, lambda *_: sys.exit(1))
+    signal.signal(signal.SIGINT, signal.default_int_handler)
+    with worktree(args.parent) as parent_dir:
+        sides = {"parent": parent_dir, "tree": ROOT}
+        for seed in args.seed:
+            seed_block(sides, args.workload, seed, args.pairs, args.parent, bounds)
     return 0
 
 
