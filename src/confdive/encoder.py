@@ -29,25 +29,22 @@ class ShapeMismatch(ValueError):
 class Segments:
     """One graph side's edges grouped by node, for a rank-major segment sum.
 
-    Edge ``e`` of node ``index[e]`` goes to row ``slot[e] = rank * n + index[e]``
-    of a ``(width * n) x h`` block, where ``rank`` counts the node's earlier
-    edges in input order; summing the block's ``width`` slabs of ``n`` rows adds
-    each node's rows in input order (``gcnn._scatter_add``).
+    Edge ``e`` of node ``index[e]`` belongs at row ``rank * n + index[e]`` of a
+    ``(width * n) x h`` block, where ``rank`` counts the node's earlier edges in
+    input order; summing the block's ``width`` slabs of ``n`` rows adds each
+    node's rows in input order (``gcnn._scatter_add``). ``gather`` holds the
+    edge at each block row, and ``E`` at a padding row, so the block, or any
+    run of its slabs, is one gather from the E edge rows and a zero row after them.
     """
 
     index: np.ndarray  # [E] the node of each edge
     degree: np.ndarray  # [n] edges per node, at least 1: the divisor of a mean message
-    slot: np.ndarray  # [E] rank_within_node * n + node
+    gather: np.ndarray  # [width * n] the edge at each block row, E at padding
     width: int  # the largest number of edges at one node, 0 without edges
 
     @property
     def n(self) -> int:
         return self.degree.shape[0]
-
-    @property
-    def cells(self) -> int:
-        """Rows of the scatter block: ``width`` slabs of ``n``."""
-        return self.width * self.n
 
 
 def _segments(index: np.ndarray, n: int, field: str) -> Segments:
@@ -60,7 +57,10 @@ def _segments(index: np.ndarray, n: int, field: str) -> Segments:
     order = np.argsort(index, kind="stable")
     rank = np.empty(index.shape[0], dtype=np.int64)
     rank[order] = np.arange(index.shape[0]) - (np.cumsum(counts) - counts)[index[order]]
-    return Segments(index, np.maximum(counts, 1), rank * n + index, int(counts.max(initial=0)))
+    width = int(counts.max(initial=0))
+    gather = np.full(width * n, index.shape[0], dtype=np.int64)
+    gather[rank * n + index] = np.arange(index.shape[0])
+    return Segments(index, np.maximum(counts, 1), gather, width)
 
 
 @dataclass(eq=False)

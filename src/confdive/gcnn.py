@@ -16,8 +16,8 @@ Backward divides the node-level message gradient by the degree, then gathers
 it per edge, and sums the per-edge gradient into per-node gradients before its
 matmuls. Every scatter over edges is a rank-major segment sum
 (``_scatter_add``): the graph caches each side's ``Segments`` (edge index,
-degree, and each edge's slot ``rank_within_node * n + node``), the rows are
-written at their slots into a zeroed (width * n) x h block, and its width
+degree, and ``gather``, the edge at each row ``rank_within_node * n + node``
+of a (width * n) x h block, or a zero row at padding), and the block's width
 slabs are summed from +0.0, which adds each node's rows in input order and so
 equals ``np.add.at`` into zeros bit for bit. Every E x h array lives in one
 ``_Workspace`` per ``train`` call (and per ``forward`` call), sized for the
@@ -25,6 +25,17 @@ largest graph and written with ``out=``, so training does not free and fault
 in edge-sized pages between graphs. Gathers use ``np.take(..., mode="clip",
 out=...)``, because the default ``mode="raise"`` buffers its output; the
 graph rejects an out-of-range index once, when its segments are built.
+
+Per-edge passes are cache-sized, with every floating-point operation and its
+order kept. Forward runs in edge chunks of ``EDGE_CHUNK_CELLS`` cells (1024
+edges at h=64): each chunk gathers both sides' projections, adds the edge
+feature product (a broadcast copy multiplied in place), the bias, the mask
+and the ReLU; backward gathers and masks its message gradient by the same
+chunks. The edge-order reductions of backward run over all edges at once.
+A scatter gathers its block from the E message rows and a spare zero row
+after them, one group of slabs of about ``EDGE_CHUNK_CELLS`` cells at a time:
+the first group is summed from +0.0, and each later one behind a copy of the
+running sum, which adds the slabs in the order of one whole-block sum.
 
 Two loss normalizations are provided: the per-graph one (each graph's
 log-likelihood is divided by its own node count before averaging over the
@@ -177,28 +188,52 @@ def _affine_relu(x: np.ndarray, block: Affine) -> tuple[np.ndarray, np.ndarray]:
     return z, np.maximum(z, 0.0)
 
 
+#: Cells (rows x h) of one cache-sized piece of per-edge work: an edge chunk of
+#: forward and backward, and a group of scatter slabs. 1024 edges at h=64.
+EDGE_CHUNK_CELLS = 1 << 16
+
+
+def _group_slabs(seg: Segments, h: int) -> int:
+    """Slabs per scatter group: as many ``n x h`` slabs as fit in EDGE_CHUNK_CELLS,
+    and at least two, since a later group holds the running sum and one new slab.
+
+    Slabs of one cell (``n * h == 1``) are summed by numpy as one contiguous
+    run, which it adds pairwise from 8 values on; such a group holds 7.
+    """
+    cells = seg.n * h
+    return max(2, EDGE_CHUNK_CELLS // cells) if cells > 1 else 7
+
+
+def _block_rows(seg: Segments, h: int) -> int:
+    """Rows of the scatter block that ``_scatter_add`` fills for ``seg``: its largest group."""
+    return min(seg.width, _group_slabs(seg, h)) * seg.n
+
+
 class _Workspace:
-    """The E x h buffers of one ``train`` or ``forward`` call, sized for its largest graph.
+    """The per-edge buffers of one ``train`` or ``forward`` call, sized for its largest graph.
 
     Forward and backward write every per-edge array into these with ``out=``,
     so a training step allocates nothing of edge size, and glibc never trims
-    and faults those pages in again between graphs. A graph's two message
-    ReLU masks live here from its forward to its backward, which
-    ``_loss_and_gradients`` runs before the next graph's forward.
+    and faults those pages in again between graphs. "msg" holds E + 1 rows:
+    the edge rows and the zero row that pads a scatter block. "tmp" holds one
+    edge chunk and "block" one scatter group. A graph's two message ReLU masks
+    live here from its forward to its backward, which ``_loss_and_gradients``
+    runs before the next graph's forward.
     """
 
     def __init__(self, graphs: Iterable[BipartiteGraph], h: int):
         graphs = list(graphs)
-        edges = max((g.n_edges for g in graphs), default=0) * h
-        cells = max((seg.cells for g in graphs for seg in g.segments), default=0) * h
-        self.h = h
+        edges = max((g.n_edges for g in graphs), default=0)
+        block = max((_block_rows(seg, h) for g in graphs for seg in g.segments), default=0)
+        self.h, self.chunk = h, max(1, EDGE_CHUNK_CELLS // h)  # edges per chunk
+        msg, tmp = (edges + 1) * h, min(edges, self.chunk) * h
         # one float and one bool allocation: as five, glibc gave their pages
         # back and faulted them in again on every forward call (1.5k minor
         # faults per call on a covering 120x80 graph at h=64, against 30)
-        floats, bools = np.empty(2 * edges + cells), np.empty(2 * edges, dtype=bool)
+        floats, bools = np.empty(msg + tmp + block * h), np.empty(2 * edges * h, dtype=bool)
         self._buffers = {
-            "msg": floats[:edges], "tmp": floats[edges : 2 * edges], "block": floats[2 * edges :],
-            "v2c": bools[:edges], "c2v": bools[edges:],
+            "msg": floats[:msg], "tmp": floats[msg : msg + tmp], "block": floats[msg + tmp :],
+            "v2c": bools[: edges * h], "c2v": bools[edges * h :],
         }
 
     def rows(self, name: str, n_rows: int) -> np.ndarray:
@@ -206,21 +241,48 @@ class _Workspace:
         a half-convolution's message mask ("v2c", "c2v") or the scatter block ("block")."""
         return self._buffers[name][: n_rows * self.h].reshape(n_rows, self.h)
 
+    def block(self, seg: Segments) -> np.ndarray:
+        """The scatter block for ``seg``: ``_block_rows(seg, h)`` rows."""
+        return self.rows("block", _block_rows(seg, self.h))
+
+    def chunks(self, n_edges: int) -> Iterator[slice]:
+        """Consecutive edge slices of at most one chunk each."""
+        for start in range(0, n_edges, self.chunk):
+            yield slice(start, min(start + self.chunk, n_edges))
+
 
 def _scatter_add(seg: Segments, rows: np.ndarray, block: np.ndarray) -> np.ndarray:
     """Zero-start segment sum: row k of the result sums ``rows[e]`` over ``seg.index[e] == k``.
 
-    Rank-major: ``block`` (``seg.cells`` x h, from the workspace) is
-    zeroed and row e is written at ``seg.slot[e]``, so slab r holds each
-    node's r-th edge. Summing the slabs from +0.0 adds each node's rows in
-    input order, padded with +0.0, so the result equals ``np.add.at`` into
-    ``np.zeros((n, h))`` bit for bit, ``-0.0`` rows included. Node-major,
-    ``(n, width, h)`` summed over axis 1, was slower at h=16 than the flat
-    bincount this replaced; rank-major was faster at both h=16 and h=64.
+    ``rows`` holds the E edge rows and one spare row, which this zeroes; the
+    first E rows are not changed. Rank-major: slab r of the ``(width * n) x h``
+    block holds each node's r-th edge, and its padding is the zero row, so
+    summing the slabs from +0.0 adds each node's rows in input order, padded
+    with +0.0, and the result equals ``np.add.at`` into ``np.zeros((n, h))``
+    bit for bit, ``-0.0`` rows included. The slabs are gathered
+    (``seg.gather``) into ``block`` and summed one cache-sized group at a
+    time: the first group from +0.0, each later one behind a copy of the
+    running sum, which +0.0 leaves unchanged. ``block`` needs
+    ``_block_rows(seg, h)`` rows. Node-major, ``(n, width, h)`` summed over
+    axis 1, was slower at h=16 than the flat bincount this replaced;
+    rank-major was faster at both h=16 and h=64.
     """
-    block.fill(0.0)
-    block[seg.slot] = rows
-    return block.reshape(seg.width, seg.n, rows.shape[1]).sum(axis=0, initial=0.0)
+    n_edges, h = seg.index.shape[0], rows.shape[1]
+    if rows.shape[0] != n_edges + 1:
+        raise ValueError(f"_scatter_add needs {n_edges} edge rows and a spare row, "
+                         f"got {rows.shape[0]} rows")
+    rows[n_edges] = 0.0
+    n, group = seg.n, _group_slabs(seg, h)
+    count = min(seg.width, group)
+    np.take(rows, seg.gather[: count * n], axis=0, mode="clip", out=block[: count * n])
+    total = block[: count * n].reshape(count, n, h).sum(axis=0, initial=0.0)
+    for first in range(count, seg.width, group - 1):
+        count = min(group - 1, seg.width - first)
+        block[:n] = total
+        np.take(rows, seg.gather[first * n : (first + count) * n], axis=0, mode="clip",
+                out=block[n : (count + 1) * n])
+        np.sum(block[: (count + 1) * n].reshape(count + 1, n, h), axis=0, initial=0.0, out=total)
+    return total
 
 
 def _check_graph(model: GcnnModel, graph: BipartiteGraph) -> None:
@@ -248,16 +310,22 @@ def _half_conv(model: GcnnModel, name: str, graph: BipartiteGraph, h_con, h_var,
     h = h_con.shape[1]
     con_seg, var_seg = graph.segments
     seg, own = (con_seg, h_con) if name == "v2c" else (var_seg, h_var)
+    p_con, p_var = h_con @ msg.w[:h], h_var @ msg.w[h : 2 * h]
+    e = graph.n_edges
+    z_msg, active = ws.rows("msg", e + 1), ws.rows(name, e)
     # mode="clip" writes straight into out (the default "raise" buffers it);
     # BipartiteGraph.segments has checked every index
-    e = graph.n_edges
-    z_msg = np.take(h_con @ msg.w[:h], graph.edge_con, axis=0, mode="clip", out=ws.rows("msg", e))
-    tmp = ws.rows("tmp", e)
-    z_msg += np.take(h_var @ msg.w[h : 2 * h], graph.edge_var, axis=0, mode="clip", out=tmp)
-    z_msg += np.multiply(graph.edge_feat[:, None], msg.w[2 * h], out=tmp)
-    z_msg += msg.b
-    active = np.greater(z_msg, 0, out=ws.rows(name, e))
-    s = _scatter_add(seg, np.maximum(z_msg, 0.0, out=z_msg), ws.rows("block", seg.cells))
+    for c in ws.chunks(e):
+        z = np.take(p_con, graph.edge_con[c], axis=0, mode="clip", out=z_msg[c])
+        tmp = ws.rows("tmp", z.shape[0])
+        z += np.take(p_var, graph.edge_var[c], axis=0, mode="clip", out=tmp)
+        tmp[...] = graph.edge_feat[c, None]
+        tmp *= msg.w[2 * h]
+        z += tmp
+        z += msg.b
+        np.greater(z, 0, out=active[c])
+        np.maximum(z, 0.0, out=z)
+    s = _scatter_add(seg, z_msg, ws.block(seg))
     s /= seg.degree[:, None]
     u_in = np.concatenate([own, s], axis=1)
     z_upd, h_upd = _affine_relu(u_in, upd)
@@ -391,11 +459,15 @@ def _half_conv_backward(
     seg = con_seg if name == "v2c" else var_seg
     g_u_in = _affine_relu_backward(f"{name}_upd", u_in, z_upd, g_out, grads) @ upd.w.T
     # divide per node, then gather per edge
-    g_z = np.take(g_u_in[:, h:] / seg.degree[:, None], seg.index, axis=0, mode="clip",
-                  out=ws.rows("msg", graph.n_edges))
-    g_z *= active
-    G_con = _scatter_add(con_seg, g_z, ws.rows("block", con_seg.cells))
-    G_var = _scatter_add(var_seg, g_z, ws.rows("block", var_seg.cells))
+    g_node = g_u_in[:, h:] / seg.degree[:, None]
+    e = graph.n_edges
+    g_rows = ws.rows("msg", e + 1)
+    for c in ws.chunks(e):
+        np.take(g_node, seg.index[c], axis=0, mode="clip", out=g_rows[c])
+        g_rows[c] *= active[c]
+    G_con = _scatter_add(con_seg, g_rows, ws.block(con_seg))
+    G_var = _scatter_add(var_seg, g_rows, ws.block(var_seg))
+    g_z = g_rows[:e]  # the edge-order reductions run whole, so their order is kept
     g_w = grads[f"{name}_msg.w"]
     g_w[:h] += h_con.T @ G_con
     g_w[h : 2 * h] += h_var.T @ G_var

@@ -6,12 +6,13 @@ atomic (write-temp-then-rename), and instance-level work can fan out over a
 process pool without changing any output byte.
 
 Stages hand each other files. When several stages run in one process, a
-stage reuses the instances and the model that an earlier stage wrote or read,
-as long as the file's text is unchanged: every read still reads the file and
-skips only the parse. Shared instances keep their cached ``root_lp``, so an
-instance's cold root LP is solved once per process, not once per stage. The
-memo holds the files of one outdir; a stage under another outdir empties it.
-The CLI runs one stage per process and is unaffected.
+stage reuses the instances, pools and model that an earlier stage wrote or
+read, as long as the file's text is unchanged (and a pool's instance is the
+one it was parsed against): every read still reads the file and skips only
+the parse. Shared instances keep their cached ``root_lp``, so an instance's
+cold root LP is solved once per process, not once per stage. The memo holds
+the files of one outdir; a stage under another outdir empties it. The CLI
+runs one stage per process and is unaffected.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator
 
 from . import bnb
-from .bnb import IncumbentTrajectory, InfeasibleSubproblem, SolverConfig
+from .bnb import IncumbentTrajectory, InfeasibleSubproblem, SolutionPool, SolverConfig
 from .diving import (
     DEFAULT_GRID,
     check_threshold,
@@ -214,34 +215,38 @@ def _atomic_write(path: Path, text: str) -> None:
 
 
 class _FileMemo:
-    """Path -> (the text last read or written there, its parsed value), for the
-    files of one outdir.
+    """Path -> (the text last read or written there, what it was parsed against,
+    its parsed value), for the files of one outdir.
 
     ``read`` always reads the file and parses it unless the text is the one
-    recorded; values are shared between readers, so only immutable values or
-    values that readers copy belong here. Entering another outdir empties it.
+    recorded and it is parsed against the same object (a pool file against
+    its instance; nothing for an instance or a model file). Values are shared
+    between readers, so only immutable values or values that readers copy
+    belong here. Entering another outdir empties it.
     """
 
     def __init__(self) -> None:
         self.outdir: Path | None = None
-        self.entries: dict[Path, tuple[str, Any]] = {}
+        self.entries: dict[Path, tuple[str, Any, Any]] = {}
 
     def _enter(self, config: PipelineConfig) -> None:
         if config.out != self.outdir:
             self.entries.clear()
             self.outdir = config.out
 
-    def record(self, config: PipelineConfig, path: Path, text: str, value: Any) -> None:
+    def record(self, config: PipelineConfig, path: Path, text: str, value: Any,
+               against: Any = None) -> None:
         self._enter(config)
-        self.entries[path] = (text, value)
+        self.entries[path] = (text, against, value)
 
-    def read(self, config: PipelineConfig, path: Path, parse: Callable[[str], Any]) -> Any:
+    def read(self, config: PipelineConfig, path: Path, parse: Callable[[str], Any],
+             against: Any = None) -> Any:
         self._enter(config)
         text = path.read_text()
         entry = self.entries.get(path)
-        if entry is None or entry[0] != text:
-            entry = self.entries[path] = (text, parse(text))
-        return entry[1]
+        if entry is None or entry[0] != text or entry[1] is not against:
+            entry = self.entries[path] = (text, against, parse(text))
+        return entry[2]
 
 
 _memo = _FileMemo()
@@ -314,7 +319,10 @@ def run_generate(config: PipelineConfig) -> list[Path]:
 # ---------------------------------------------------------------------------
 
 
-def _collect_one(args: tuple[MilpInstance, SolverConfig]) -> tuple[str, str | None, str]:
+def _collect_one(
+    args: tuple[MilpInstance, SolverConfig],
+) -> tuple[str, tuple[str, SolutionPool] | None, str]:
+    """An instance's name, its pool file's text with the pool, or None, and why."""
     instance, solver_config = args
     try:
         _, pool = bnb.solve(instance, {}, solver_config)
@@ -322,7 +330,7 @@ def _collect_one(args: tuple[MilpInstance, SolverConfig]) -> tuple[str, str | No
         return instance.name, None, "infeasible"
     if not pool.entries:
         return instance.name, None, "empty_pool"
-    return instance.name, bnb.serialize_pool(pool, instance), "ok"
+    return instance.name, (bnb.serialize_pool(pool, instance), pool), "ok"
 
 
 def _solver_config(config: PipelineConfig, keys: dict[str, str], **fixed) -> SolverConfig:
@@ -350,18 +358,22 @@ def run_collect(config: PipelineConfig) -> list[str]:
     """Write one pool file per train instance plus a skip manifest; returns skips.
 
     A skipped instance's pool file from an earlier run is deleted, so that
-    ``train`` reads only pools that this run collected.
+    ``train`` reads only pools that this run collected. Each pool is recorded
+    with its text: the solver's pool is sorted as ``bnb.parse_pool`` sorts,
+    and its floats are written as ``repr``, so it is what the text parses to.
     """
     instances = load_split(config, "train")
     solver_config = collect_solver_config(config)
     results = _pmap(_collect_one, [(inst, solver_config) for inst in instances], config.jobs)
     skipped: list[str] = []
-    for pool_path, (name, text, reason) in zip(pool_paths(config), results):
-        if text is None:
+    for pool_path, instance, (name, written, reason) in zip(pool_paths(config), instances, results):
+        if written is None:
             skipped.append(f"{name} {reason}")
             pool_path.unlink(missing_ok=True)
         else:
+            text, pool = written
             _atomic_write(pool_path, text)
+            _memo.record(config, pool_path, text, pool, against=instance)
     _atomic_write(config.out / "pools" / "skipped.txt", "".join(line + "\n" for line in skipped))
     return skipped
 
@@ -380,7 +392,7 @@ def build_dataset(config: PipelineConfig) -> list[GraphTargets]:
     for pool_path, instance in zip(pool_paths(config), instances):
         if not pool_path.exists():
             continue  # listed in the skip manifest
-        pool = bnb.parse_pool(pool_path.read_text(), instance)
+        pool = _memo.read(config, pool_path, lambda text: bnb.parse_pool(text, instance), instance)
         if pool.entries:
             dataset.append(pool_targets(encode(instance), pool, config.temperature))
     if not dataset:

@@ -589,13 +589,23 @@ class TestMalformedModelFiles:
 
 
 def scatter(idx, rows, n):
-    """``_scatter_add`` over the segments of ``idx``, into a block that starts as NaN."""
+    """``_scatter_add`` over the segments of ``idx``, into a block that starts as NaN.
+
+    ``rows`` holds the edge rows and the spare row, which starts as NaN too;
+    the edge rows must come back unchanged and the spare row zeroed."""
     seg = _segments(np.asarray(idx, dtype=np.int64), n, "idx")
-    return _scatter_add(seg, rows, np.full((seg.cells, rows.shape[1]), np.nan))
+    rows[-1] = np.nan
+    edge_rows = rows[:-1].copy()
+    got = _scatter_add(seg, rows, np.full((seg.gather.size, rows.shape[1]), np.nan))
+    assert rows[:-1].tobytes() == edge_rows.tobytes()
+    assert rows[-1].tobytes() == np.zeros(rows.shape[1]).tobytes()
+    return got
 
 
 class TestScatterAdd:
-    """``_scatter_add``, the rank-major segment sum, against ``np.add.at`` into zeros, byte for byte."""
+    """``_scatter_add``, the rank-major segment sum, against ``np.add.at`` into zeros, byte for byte.
+
+    Each case passes the E edge rows and one spare row, as the GCNN does."""
 
     @staticmethod
     def _add_at(idx, rows, n):
@@ -604,9 +614,10 @@ class TestScatterAdd:
         return out
 
     def _check(self, idx, rows, n):
+        expected = self._add_at(idx, rows[:-1], n)
         got = scatter(idx, rows, n)
         assert got.dtype == np.float64 and got.shape == (n, rows.shape[1])
-        assert got.tobytes() == self._add_at(idx, rows, n).tobytes()
+        assert got.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("seed", range(30))
     def test_matches_add_at_bytes(self, seed):
@@ -615,38 +626,75 @@ class TestScatterAdd:
         n_edges = int(rng.integers(0, 40))
         idx = rng.integers(0, n, n_edges)  # unsorted, repeated, some nodes without edges
         if seed % 2:  # a strided column slice
-            rows = rng.normal(size=(n_edges, 3 * h))[:, h : 2 * h]
+            rows = rng.normal(size=(n_edges + 1, 3 * h))[:, h : 2 * h]
         else:
-            rows = rng.normal(size=(n_edges, h))
+            rows = rng.normal(size=(n_edges + 1, h))
         self._check(idx, rows, n)
+
+    @pytest.mark.parametrize("chunk_cells", [1, 3, 8])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_slab_groups_match_add_at_bytes(self, seed, chunk_cells, monkeypatch):
+        """Small chunks split the slabs into several groups, each summed behind
+        the running sum, in a block of exactly ``_block_rows`` rows."""
+        monkeypatch.setattr(gcnn, "EDGE_CHUNK_CELLS", chunk_cells)
+        rng = np.random.default_rng(50 + seed)
+        n, h = int(rng.integers(1, 4)), int(rng.integers(1, 5))
+        idx = rng.integers(0, n, int(rng.integers(20, 60)))
+        rows = rng.normal(size=(idx.size + 1, h))
+        rows[rng.random(idx.size + 1) < 0.2] = -0.0
+        seg = _segments(idx, n, "idx")
+        assert seg.width > gcnn._group_slabs(seg, h)  # more than one group
+        expected = self._add_at(idx, rows[:-1], n)
+        block = np.full((gcnn._block_rows(seg, h), h), np.nan)
+        assert _scatter_add(seg, rows, block).tobytes() == expected.tobytes()
 
     def test_one_node_holds_every_edge(self):
         rng = np.random.default_rng(3)
-        rows = rng.normal(size=(34, 5))[::2]  # strided rows
+        rows = rng.normal(size=(36, 5))[::2]  # strided rows
         idx = np.full(17, 2)
         assert _segments(idx, 4, "idx").width == 17
         self._check(idx, rows, 4)
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_one_cell_slabs_add_in_input_order(self, seed):
+        # one node at h=1: numpy would add one run of 8 or more slabs pairwise
+        rng = np.random.default_rng(seed)
+        rows = rng.normal(size=(41, 1)) * 10.0 ** rng.uniform(-6, 6, size=(41, 1))
+        self._check(np.zeros(40, dtype=np.int64), rows, 1)
+
     def test_nodes_without_edges(self):
         idx = np.array([5, 1, 5, 5, 1])
-        self._check(idx, np.random.default_rng(4).normal(size=(5, 3)), 8)
+        self._check(idx, np.random.default_rng(4).normal(size=(6, 3)), 8)
 
     def test_no_edges_and_empty_side(self):
         for n, h in ((3, 2), (0, 2)):
-            got = scatter(np.zeros(0, dtype=np.int64), np.zeros((0, h)), n)
+            got = scatter(np.zeros(0, dtype=np.int64), np.zeros((1, h)), n)
             assert got.dtype == np.float64
             assert got.tobytes() == np.zeros((n, h)).tobytes()
 
     def test_negative_zero_rows_sum_to_positive_zero_as_add_at_does(self):
         # cells start at +0.0 and +0.0 + -0.0 is +0.0, in np.add.at into zeros as here
-        idx, rows = np.array([0, 1, 1]), np.array([[2.0, -0.0], [-0.0, -0.0], [-0.0, 1.0]])
+        idx = np.array([0, 1, 1])
+        rows = np.array([[2.0, -0.0], [-0.0, -0.0], [-0.0, 1.0], [np.nan, np.nan]])
+        expected = self._add_at(idx, rows[:-1], 3)
         got = scatter(idx, rows, 3)
         assert not np.signbit(got).any()
-        assert got.tobytes() == self._add_at(idx, rows, 3).tobytes()
+        assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("extra", [0, 2])
+    def test_rows_without_exactly_one_spare_row_are_rejected(self, extra):
+        idx = np.array([0, 1, 1])
+        seg = _segments(idx, 2, "idx")
+        rows = np.arange(3.0 * (3 + extra)).reshape(3 + extra, 3)
+        before = rows.copy()
+        with pytest.raises(ValueError, match="3 edge rows and a spare row, got"):
+            _scatter_add(seg, rows, np.full((seg.gather.size, 3), np.nan))
+        assert rows.tobytes() == before.tobytes()
 
     def test_slots_rank_edges_in_input_order(self):
         seg = _segments(np.array([2, 0, 2, 2, 0]), 3, "idx")
-        assert seg.slot.tolist() == [2, 0, 5, 8, 3]  # rank * 3 + node
+        # block row rank * 3 + node holds that edge; 5 (= E) marks padding
+        assert seg.gather.tolist() == [1, 5, 0, 4, 5, 2, 5, 5, 3]
         assert seg.degree.tolist() == [2, 1, 3] and seg.width == 3 and seg.n == 3
 
 
@@ -736,6 +784,46 @@ class TestWorkspace:
         before = forward(model, small.graph)
         train(model, [large], TrainConfig(lr=0.2, epochs=2))
         assert forward(model, small.graph).tobytes() == before.tobytes()
+
+
+class TestEdgeChunks:
+    """Per-edge work in several edge chunks, and scatters in several slab groups,
+    against one chunk and one group: forward, gradients and training, bit for bit."""
+
+    @staticmethod
+    def _outputs(monkeypatch, chunk_cells, h, batch, several):
+        with monkeypatch.context() as patch:
+            patch.setattr(gcnn, "EDGE_CHUNK_CELLS", chunk_cells)
+            for item in batch:
+                segs = item.graph.segments
+                assert several == (item.graph.n_edges > gcnn._Workspace([item.graph], h).chunk)
+                assert several == any(seg.width > gcnn._group_slabs(seg, h) for seg in segs)
+            model = init_model(hidden_dim=h, seed=h)
+            probs = [forward(model, item.graph).tobytes() for item in batch]
+            grads = {name: g.tobytes() for name, g in backward(model, batch).items()}
+            trained, curve = train(model, batch, TrainConfig(lr=0.2, epochs=3, batch_size=2, seed=1))
+            return probs, grads, save_model(trained), curve
+
+    def _check(self, monkeypatch, chunk_cells, h, batch):
+        whole = self._outputs(monkeypatch, 1 << 40, h, batch, several=False)
+        assert self._outputs(monkeypatch, chunk_cells, h, batch, several=True) == whole
+
+    @pytest.mark.parametrize("h,chunk_cells", [(8, 100), (8, 1 << 9), (16, 1 << 11)])
+    def test_covering_120x80(self, h, chunk_cells, monkeypatch):
+        self._check(monkeypatch, chunk_cells, h, [sized_targets(730, 120, 80), sized_targets(731, 40, 30)])
+
+    @pytest.mark.parametrize("h,chunk_cells", [(1, 1), (4, 5), (16, 16), (16, 200)])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_random_graphs(self, h, chunk_cells, seed, monkeypatch):
+        rng = np.random.default_rng(900 + seed)
+        batch = []
+        for n_vars, n_cons in ((int(rng.integers(20, 40)), int(rng.integers(12, 20))), (9, 6)):
+            graph = random_graph(rng, n_vars, n_cons, int(rng.integers(100, 200)) if n_vars > 9 else 30)
+            graph.binary_mask[0] = True
+            k = int(graph.binary_mask.sum())
+            batch.append(GraphTargets(graph, [TargetSolution(rng.integers(0, 2, k).astype(float), w)
+                                              for w in (0.6, 0.4)]))
+        self._check(monkeypatch, chunk_cells, h, batch)
 
 
 #: Each case replaces one field of a good three-variable, two-edge graph.

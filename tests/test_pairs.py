@@ -43,11 +43,32 @@ def test_ties_count_for_neither_side():
     assert not pairs.judge(PARENT, child).holds  # 8 of 10 wins
 
 
-def test_gap_within_the_parent_iqr_does_not_hold():
-    iqr = pairs.summarize(PARENT).iqr
-    child = [p - 0.9 * iqr for p in PARENT]
+def test_median_difference_within_the_differences_iqr_does_not_hold():
+    diffs = [0.01, 0.4, 0.02, 0.5, 0.03, 0.6, 0.04, 0.7, 0.05, 0.8]
+    v = pairs.judge(PARENT, [p - d for p, d in zip(PARENT, diffs)])
+    assert v.wins == 10 and v.diff.median < v.diff.iqr and not v.holds
+
+
+def _old_rule_holds(v):
+    """The rule judged on each side's own runs: the median gap beats the parent's IQR."""
+    return v.wins >= pairs.WIN_SHARE * (v.wins + v.losses + v.ties) and v.gap > v.parent_iqr
+
+
+def test_a_steady_gain_under_machine_drift_holds():
+    # the machine slows by 5% of a run per pair; the tree is 0.06 s faster in each pair
+    parent = [1.0 + 0.05 * i for i in range(10)]
+    noise = [0.004, -0.003, 0.002, -0.004, 0.001, 0.003, -0.002, 0.0, -0.001, 0.002]
+    child = [p - 0.06 + e for p, e in zip(parent, noise)]
+    v = pairs.judge(parent, child)
+    assert v.wins == 10 and v.gap < v.parent_iqr and not _old_rule_holds(v)
+    assert v.diff.median > v.diff.iqr and v.holds
+
+
+def test_no_change_holds_under_neither_rule():
+    child = [p + (0.01 if i % 2 else -0.01) for i, p in enumerate(PARENT)]
     v = pairs.judge(PARENT, child)
-    assert v.wins == 10 and v.gap < v.parent_iqr and not v.holds
+    assert (v.wins, v.losses) == (5, 5)
+    assert not v.holds and not _old_rule_holds(v)
 
 
 def test_unpaired_runs_rejected():

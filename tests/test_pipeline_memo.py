@@ -8,13 +8,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from confdive import pipeline, simplex
+from confdive import bnb, pipeline, simplex
 from confdive.gcnn import load_model, save_model
 from confdive.instances import generate_covering, generate_knapsack, parse_instance, serialize_instance
 from confdive.pipeline import (
     PipelineConfig,
     instance_paths,
     load_trained_model,
+    pool_paths,
     run_collect,
     run_evaluate,
     run_generate,
@@ -104,8 +105,8 @@ def test_generate_records_what_its_text_parses_to(tmp_path):
     paths = [p for split in pipeline.SPLITS for p in instance_paths(config, split)]
     assert sorted(pipeline._memo.entries) == sorted(paths)
     for path in paths:
-        text, instance = pipeline._memo.entries[path]
-        assert text == path.read_text()
+        text, against, instance = pipeline._memo.entries[path]
+        assert text == path.read_text() and against is None
         assert repr(instance) == repr(parse_instance(text))
 
 
@@ -187,3 +188,59 @@ def test_the_memo_holds_only_the_last_outdirs_files(tmp_path):
     assert pipeline._memo.outdir == second.out
     assert len(pipeline._memo.entries) == 4
     assert all(second.out in path.parents for path in pipeline._memo.entries)
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [{}, dict(family="knapsack", n_items=12, n_dims=3), dict(jobs=2)],
+    ids=["covering", "knapsack", "covering-jobs2"],
+)
+def test_collect_records_what_each_pool_text_parses_to(tmp_path, overrides):
+    config = small_config(tmp_path / "out", **overrides)
+    run_generate(config)
+    run_collect(config)
+    instances = pipeline.load_split(config, "train")
+    assert any(path.exists() for path in pool_paths(config))
+    for path, instance in zip(pool_paths(config), instances):
+        if not path.exists():
+            continue
+        text, against, pool = pipeline._memo.entries[path]
+        assert text == path.read_text() and against is instance
+        parsed = bnb.parse_pool(text, instance)
+        assert repr(pool) == repr(parsed)
+        assert [e.values.tobytes() for e in pool.entries] == [e.values.tobytes() for e in parsed.entries]
+
+
+def test_train_parses_no_pool_that_collect_wrote(tmp_path, monkeypatch):
+    config = small_config(tmp_path / "out")
+    run_generate(config)
+    run_collect(config)
+    parses = counted(monkeypatch, bnb, "parse_pool")
+    run_train(config)
+    assert parses == []
+
+
+def test_a_rewritten_pool_file_is_parsed_again(tmp_path, monkeypatch):
+    config = small_config(tmp_path / "out")
+    run_generate(config)
+    run_collect(config)
+    path = pool_paths(config)[2]
+    recorded = pipeline._memo.entries[path][2]
+    path.write_text("# rewritten after collect\n" + path.read_text())
+    parses = counted(monkeypatch, bnb, "parse_pool")
+    pipeline.build_dataset(config)
+    assert parses == [path.read_text()]
+    reparsed = pipeline._memo.entries[path][2]
+    assert reparsed is not recorded and repr(reparsed) == repr(recorded)
+
+
+def test_a_pool_is_parsed_again_against_a_rewritten_instance(tmp_path, monkeypatch):
+    config = small_config(tmp_path / "out")
+    run_generate(config)
+    run_collect(config)
+    path = instance_paths(config, "train")[0]
+    path.write_text("# rewritten after collect\n" + path.read_text())
+    parses = counted(monkeypatch, bnb, "parse_pool")
+    pipeline.build_dataset(config)
+    assert parses == [pool_paths(config)[0].read_text()]
+    assert pipeline._memo.entries[pool_paths(config)[0]][1] is pipeline.load_split(config, "train")[0]

@@ -10,11 +10,16 @@ end-to-end metrics from the JSON line each run prints. It prints one block
 per seed, judged on that seed's runs alone, as follows. For
 ``pipeline_s`` (lower is better) it prints every run of each side, the median
 and the quartiles; then the wins of the working tree (ties count for neither
-side) and whether the claim rule holds: the working tree wins at least 9 of 10
-pairs, and its median beats the parent's by more than the parent's
-interquartile range. For every other metric it prints each side's median and
-quartiles. Every end-to-end metric of ``BENCHMARK.json`` is then judged by
-its ``better`` direction and ``bound``: it is marked ``WORSE`` when the
+side) and whether the claim rule holds. The rule is judged on the paired
+differences (parent minus working tree): the working tree wins at least 9 of
+10 pairs, and the median difference exceeds the differences' interquartile
+range. A pair's two runs follow each other, so slow drift of the machine over
+the session moves both and cancels in their difference, where it would widen
+the parent's own spread. The gap between the two sides' medians and the
+parent's interquartile range are printed beside it, not judged. For every
+other metric it prints each side's median and quartiles. Every end-to-end
+metric of ``BENCHMARK.json`` is then judged by its ``better`` direction and
+``bound``: it is marked ``WORSE`` when the
 working tree's median is worse than the parent's by more than ``bound`` times
 the parent's median. To show which stage moved, it then prints each side's
 median of the stage times that ``run.py`` prints beside those metrics but
@@ -91,26 +96,28 @@ class Verdict:
     wins: int
     losses: int
     ties: int
-    gap: float  # parent median minus working-tree median: > 0 is better
-    parent_iqr: float
+    diff: Summary  # of the paired differences, parent minus working tree: > 0 is better
+    gap: float  # parent median minus working-tree median, not judged
+    parent_iqr: float  # not judged
 
     @property
     def holds(self) -> bool:
         n = self.wins + self.losses + self.ties
-        return self.wins >= WIN_SHARE * n and self.gap > self.parent_iqr
+        return self.wins >= WIN_SHARE * n and self.diff.median > self.diff.iqr
 
 
 def judge(parent: list[float], child: list[float]) -> Verdict:
     """Pair the i-th run of each side; the claim holds when the working tree
-    (``child``) wins at least WIN_SHARE of the pairs and beats the parent's
-    median by more than the parent's interquartile range (lower is better)."""
+    (``child``) wins at least WIN_SHARE of the pairs and the median paired
+    difference exceeds the differences' interquartile range (lower is better)."""
     if len(parent) != len(child):
         raise ValueError(f"unpaired runs: {len(parent)} parent, {len(child)} child")
     diffs = [p - c for p, c in zip(parent, child)]
     wins = sum(d > 0 for d in diffs)
     losses = sum(d < 0 for d in diffs)
     p, c = summarize(parent), summarize(child)
-    return Verdict(wins, losses, len(diffs) - wins - losses, p.median - c.median, p.iqr)
+    return Verdict(wins, losses, len(diffs) - wins - losses, summarize(diffs),
+                   p.median - c.median, p.iqr)
 
 
 def load_bounds(path: Path = BENCHMARK) -> dict[str, tuple[str, float]]:
@@ -255,8 +262,9 @@ def seed_block(sides: dict[str, Path], workload: str, seed: int, n_pairs: int, p
         print(f"{side:6s} median {s.median:.4f}  q1 {s.q1:.4f}  q3 {s.q3:.4f}  iqr {s.iqr:.4f}")
     v = judge(judged["parent"], judged["tree"])
     print(f"tree wins {v.wins}/{n_pairs} (losses {v.losses}, ties {v.ties}); "
-          f"median gap {v.gap:.4f} vs parent iqr {v.parent_iqr:.4f}; "
+          f"median paired difference {v.diff.median:.4f} vs their iqr {v.diff.iqr:.4f}; "
           f"claim {'holds' if v.holds else 'does not hold'}")
+    print(f"not judged: median gap {v.gap:.4f} vs parent iqr {v.parent_iqr:.4f}")
     worse = worse_metrics(runs["parent"], runs["tree"], bounds)
     for name in runs["parent"][0]:
         if name != METRIC:
