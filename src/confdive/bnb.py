@@ -36,7 +36,7 @@ from .instances import (
     parse_solution,
     serialize_solution,
 )
-from .simplex import DualTableau, _solve_lp_arrays, fixed_bounds
+from .simplex import DualTableau, _solve_lp_arrays
 
 INT_TOL = 1e-6
 PRUNE_TOL = 1e-9
@@ -101,21 +101,26 @@ def solve(
     fixings: Mapping[int, int] | None,
     config: SolverConfig,
 ) -> tuple[IncumbentTrajectory, SolutionPool]:
-    """Best-bound branch and bound under ``fixings`` (binary variables only).
+    """Best-bound branch and bound under ``fixings``, instance index to 0 or 1.
 
-    Without fixings, the root node's LP is ``instance.root_lp``, which the
-    instance solves once and the encoder and every other unfixed run read.
+    The one check and application of a fixing: each index must be in range
+    and name a binary variable, and each value lie within INT_TOL of 0 or 1
+    (else ``ValueError``); the variable's bounds are fixed at the rounded
+    value. Without fixings, the root node's LP is ``instance.root_lp``, which
+    the instance solves once and the encoder and every other unfixed run read.
 
     Raises :class:`InfeasibleSubproblem` when the root relaxation is
     infeasible or the tree is exhausted without an integer-feasible point.
     """
     binary = instance.binary_mask()
-    lo, hi = fixed_bounds(instance, fixings)
+    lo, hi = instance.bounds_arrays()
     for j, v in (fixings or {}).items():
+        if not 0 <= j < instance.n:  # before the mask lookup, so -1 cannot wrap
+            raise ValueError(f"fixing index {j} out of range")
         if not binary[j]:
             raise ValueError(f"fixings apply only to binary variables, got index {j}")
         v = float(v)
-        if abs(v) > INT_TOL and abs(v - 1.0) > INT_TOL:
+        if not (abs(v) <= INT_TOL or abs(v - 1.0) <= INT_TOL):  # NaN and +-inf fail too
             raise ValueError(f"binary fixing for variable {j} must be 0 or 1, got {v}")
         lo[j] = hi[j] = round(v)
 
@@ -125,7 +130,7 @@ def solve(
 
     incumbent_obj = math.inf
     events: list[TrajectoryEvent] = []
-    pool: dict[tuple, tuple[float, np.ndarray]] = {}
+    pool: dict[tuple, Assignment] = {}
     # heap entries: (parent LP bound, insertion number, lo, hi, parent's final
     # tableau); the two children of a node share one read-only tableau
     heap: list[tuple[float, int, np.ndarray, np.ndarray, DualTableau | None]] = [
@@ -172,7 +177,7 @@ def solve(
             continue
         objective = float(c @ found)
         if config.collect_pool:  # the first point seen under a key keeps it
-            pool.setdefault(tuple(np.round(found, 9).tolist()), (objective, found.copy()))
+            pool.setdefault(tuple(np.round(found, 9).tolist()), Assignment(found, objective))
         if objective < incumbent_obj - PRUNE_TOL:
             incumbent_obj = objective
             events.append(TrajectoryEvent(step, objective, found.copy()))
@@ -183,11 +188,14 @@ def solve(
         )
     proved = not heap or all(e[0] >= incumbent_obj - PRUNE_TOL for e in heap)
     trajectory = IncumbentTrajectory(tuple(events), step, bool(proved))
-    entries = tuple(
-        Assignment(vals, obj)
-        for obj, vals in sorted(pool.values(), key=lambda t: (t[0], tuple(t[1])))
-    )[: config.pool_size]
-    return trajectory, SolutionPool(instance.name, entries)
+    entries = sorted(pool.values(), key=_pool_order)[: config.pool_size]
+    return trajectory, SolutionPool(instance.name, tuple(entries))
+
+
+def _pool_order(entry: Assignment) -> tuple:
+    """The order of a pool's entries, as ``solve`` writes them and ``parse_pool``
+    reads them back: ascending objective, ties by values."""
+    return entry.objective, tuple(entry.values)
 
 
 def _rows_ok(A: np.ndarray, b: np.ndarray, values: np.ndarray) -> bool:
@@ -310,5 +318,5 @@ def parse_pool(text: str, instance: MilpInstance) -> SolutionPool:
     for block in text.split("---\n"):
         if block.strip():
             entries.append(parse_solution(block, instance))
-    entries.sort(key=lambda a: (a.objective, tuple(a.values)))
+    entries.sort(key=_pool_order)
     return SolutionPool(instance.name, tuple(entries))

@@ -619,7 +619,7 @@ def save_model(model: GcnnModel) -> str:
     ]
     for name, arr in model.named_parameters():
         lines.append(f"PARAM {name} {' '.join(map(str, arr.shape))}")
-        lines += [" ".join(repr(float(x)) for x in row) for row in np.atleast_2d(arr)]
+        lines += [" ".join(map(repr, row)) for row in np.atleast_2d(arr).tolist()]
     return "\n".join(lines) + "\n"
 
 

@@ -359,7 +359,7 @@ def run_collect(config: PipelineConfig) -> list[str]:
 
     A skipped instance's pool file from an earlier run is deleted, so that
     ``train`` reads only pools that this run collected. Each pool is recorded
-    with its text: the solver's pool is sorted as ``bnb.parse_pool`` sorts,
+    with its text: ``bnb.solve`` and ``bnb.parse_pool`` sort by one key,
     and its floats are written as ``repr``, so it is what the text parses to.
     """
     instances = load_split(config, "train")

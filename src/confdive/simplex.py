@@ -1,4 +1,7 @@
-"""Dense simplex for the LP relaxation of a (possibly fixed) instance.
+"""Dense simplex for LP relaxations.
+
+``solve_lp`` solves an instance's unfixed relaxation only; ``bnb.solve``
+checks and applies a fixing and solves its nodes with ``_solve_lp_arrays``.
 
 Two paths share one tableau pivot, ``_pivot``:
 
@@ -36,7 +39,7 @@ the only tableau update on either path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal, Mapping
+from typing import Literal
 
 import numpy as np
 
@@ -111,26 +114,12 @@ class LpResult:
         self.__post_init__()
 
 
-def fixed_bounds(
-    instance: MilpInstance, fixings: Mapping[int, float] | None
-) -> tuple[np.ndarray, np.ndarray]:
-    """The instance's (lo, hi) bound arrays with ``fixings`` applied as equality bounds."""
+def solve_lp(instance: MilpInstance) -> LpResult:
+    """Solve the instance's unfixed LP relaxation, which ``MilpInstance.root_lp`` caches.
+
+    A fixed LP is a node of ``bnb.solve``, which checks and applies the fixing.
+    """
     lo, hi = instance.bounds_arrays()
-    for j, v in (fixings or {}).items():
-        if not 0 <= j < instance.n:
-            raise ValueError(f"fixing index {j} out of range")
-        v = float(v)
-        if not np.isfinite(v) or v < lo[j] - 1e-9 or v > hi[j] + 1e-9:
-            raise ValueError(
-                f"fixing {v} for variable {j} lies outside its bounds [{lo[j]}, {hi[j]}]"
-            )
-        lo[j] = hi[j] = v
-    return lo, hi
-
-
-def solve_lp(instance: MilpInstance, fixings: Mapping[int, float] | None = None) -> LpResult:
-    """Solve the LP relaxation with ``fixings`` applied as equality bounds."""
-    lo, hi = fixed_bounds(instance, fixings)
     c = instance.objective_vector()
     A, b = instance.dense_matrix()
     return _solve_lp_arrays(c, A, b, lo, hi)

@@ -1,5 +1,6 @@
-"""Oracles used by the tests: exhaustive enumerations with no solver code, and
-slow reference versions of solver fast paths that must give the same bytes."""
+"""Oracles used by the tests: exhaustive enumerations with no solver code,
+slow reference versions of solver fast paths that must give the same bytes,
+and the bound arrays of a fixed LP."""
 
 from __future__ import annotations
 
@@ -13,6 +14,15 @@ from confdive.bnb import INT_TOL
 from confdive.gcnn import PROB_CLAMP, ShapeMismatch
 from confdive.instances import FEAS_TOL, MilpInstance
 from confdive.simplex import FEASIBILITY_TOL, PIVOT_TOL, _solve_lp_arrays
+
+
+def bounds_under(instance: MilpInstance, fixings: dict | None) -> tuple[np.ndarray, np.ndarray]:
+    """The instance's (lo, hi) with each fixing as an equality bound, unchecked
+    (``bnb.solve`` is where a fixing is checked)."""
+    lo, hi = instance.bounds_arrays()
+    for j, v in (fixings or {}).items():
+        lo[j] = hi[j] = v
+    return lo, hi
 
 
 def enumerate_binary_optimum(instance: MilpInstance, tol: float = 1e-9):

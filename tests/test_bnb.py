@@ -22,9 +22,9 @@ from confdive.instances import (
     generate_knapsack,
     parse_instance,
 )
-from confdive.simplex import _solve_lp_arrays, fixed_bounds, solve_lp
+from confdive.simplex import _solve_lp_arrays, solve_lp
 
-from oracles import rescan_dive_arrays
+from oracles import bounds_under, rescan_dive_arrays
 
 BIG = SolverConfig(step_limit=10**6)
 
@@ -51,21 +51,44 @@ def test_fully_fixed_is_feasibility_check():
     assert traj.events[0].objective == pytest.approx(oracle.objective, abs=1e-9)
 
 
+_COVER = generate_covering(4, 12, 6)
+#: Twelve binaries, then a continuous variable at index 12.
+MIXED = MilpInstance(
+    "mixed", (*_COVER.vars, VarDef("y", "continuous", 0, 1, 1.0)), _COVER.constraints
+)
+
+
+#: Each fixing ``bnb.solve`` rejects, with its message; None marks a spelling of ``{0: 1}``.
+FIXING_CASES = [
+    ({-1: 1}, "out of range"),
+    ({13: 1}, "out of range"),
+    ({12: 1}, "fixings apply only to binary variables"),
+    ({0: 0.5}, "must be 0 or 1"),
+    ({0: 2}, "must be 0 or 1"),
+    ({0: float("nan")}, "must be 0 or 1"),
+    ({0: float("inf")}, "must be 0 or 1"),
+    ({0: float("-inf")}, "must be 0 or 1"),
+    ({0: True}, None),
+    ({0: np.int64(1)}, None),
+    ({0: 1.0 + 1e-7}, None),
+]
+
+
 def test_fixings_validated():
-    inst = MilpInstance(
-        "mix",
-        (VarDef("x", "binary", 0, 1, 1.0), VarDef("y", "continuous", 0, 1, 1.0)),
-        (),
-    )
-    with pytest.raises(ValueError):
-        solve(inst, {1: 1}, BIG)  # continuous variable
-    with pytest.raises(ValueError, match="must be 0 or 1"):
-        solve(inst, {0: 0.5}, BIG)  # not a 0/1 value
-    for value in (2, float("nan"), float("inf"), float("-inf")):
-        with pytest.raises(ValueError, match="outside its bounds"):
-            solve(inst, {0: value}, BIG)  # the shared bounds check rejects it first
-    with pytest.raises(ValueError, match="out of range"):
-        solve(inst, {2: 1}, BIG)
+    """``bnb.solve`` rejects a fixing with one message, or solves it as ``{0: 1}``."""
+    config = SolverConfig(step_limit=200, heuristic_emphasis="aggressive")
+    want, _ = solve(MIXED, {0: 1}, config)
+    assert want.events
+    for fixings, message in FIXING_CASES:
+        if message is not None:
+            with pytest.raises(ValueError, match=message):
+                solve(MIXED, fixings, config)
+            continue
+        got, _ = solve(MIXED, fixings, config)
+        assert got.terminal_step == want.terminal_step, fixings
+        assert [(e.step, e.objective, e.values.tobytes()) for e in got.events] == [
+            (e.step, e.objective, e.values.tobytes()) for e in want.events
+        ], fixings
 
 
 @pytest.mark.parametrize("seed", range(15))
@@ -161,7 +184,7 @@ def test_budget_exhaustion_returns_partial_trajectory():
 
 
 def _arrays(inst, fixings=None):
-    lo, hi = fixed_bounds(inst, fixings)
+    lo, hi = bounds_under(inst, fixings)
     return (inst.objective_vector(), *inst.dense_matrix(), inst.integer_mask(), lo, hi)
 
 
@@ -203,17 +226,22 @@ class TestDive:
 
     def test_respects_fixings(self):
         inst = generate_covering(4, 12, 6)
-        lp = solve_lp(inst, {0: 1.0})
+        c, A, b, _, lo, hi = _arrays(inst, {0: 1.0})
+        lp = _solve_lp_arrays(c, A, b, lo, hi)
         result = _dive(inst, lp.primal_values, {0: 1.0})
         assert result is None or result[0] == 1.0
 
     @pytest.mark.parametrize("fixings", [{-1: 1.0}, {12: 1.0}, {0: 2.0}])
-    def test_bad_fixings_rejected_like_solve_lp(self, fixings):
-        inst = generate_covering(4, 12, 6)
+    def test_bad_fixings_rejected_like_solve_lp(self, fixings, monkeypatch):
+        # the fixings solve_lp used to reject: bnb.solve, the one place that
+        # checks a fixing, rejects them before any LP or dive runs
+        def never(*args, **kwargs):
+            raise AssertionError("ran before the fixing was checked")
+
+        monkeypatch.setattr(bnb, "_solve_lp_arrays", never)
+        monkeypatch.setattr(bnb, "_dive_arrays", never)
         with pytest.raises(ValueError):
-            solve_lp(inst, fixings)
-        with pytest.raises(ValueError):
-            _dive(inst, np.full(12, 0.5), fixings)
+            solve(generate_covering(4, 12, 6), fixings, BIG)
 
     def test_integer_variable_without_upper_bound(self):
         # x = 1.5 rounds up to 2 though its range has no upper end, and the

@@ -1,10 +1,12 @@
-"""The comparison of ``tools/digests.py``."""
+"""The comparison of ``tools/digests.py`` and the reach of its fallback config."""
 
 import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 import digests  # noqa: E402
+
+from confdive import pipeline  # noqa: E402
 
 
 def test_equal_digests_compare_clean():
@@ -20,3 +22,12 @@ def test_every_difference_is_listed_by_name():
         "b.txt: differs", "gone.sol: parent only", "new.svg: tree only",
     ]
 
+
+def test_fallback_config_reaches_the_fallback(tmp_path):
+    # a threshold whose fixed set is infeasible on some instance falls back to the unfixed solve
+    config = pipeline.PipelineConfig(outdir=str(tmp_path), **digests.FALLBACK)
+    for stage in ("generate", "collect", "train", "gridsearch"):
+        getattr(pipeline, "run_" + stage)(config)
+    header, *rows = (tmp_path / "gridsearch.csv").read_text().splitlines()[:-1]  # then BEST t=
+    column = header.split(",").index("feasibility_rate")
+    assert any(float(row.split(",")[column]) < 1.0 for row in rows)

@@ -470,6 +470,19 @@ class TestSerialization:
         g = graph_with_binaries(5, seed=5)
         assert np.array_equal(forward(model, g), forward(back, g))
 
+    def test_rows_are_written_as_the_repr_of_each_float(self):
+        # row-wise repr over tolist() writes what repr(float(x)) per numpy scalar wrote
+        model = init_model(hidden_dim=64, seed=3)
+        model.var_embed.w[0, :3] = [-0.0, 5e-324, 1e308]
+        model.head.b[:] = -1e-308
+        text = save_model(model)
+        lines = text.splitlines()[:4]  # the header
+        for name, arr in model.named_parameters():
+            lines.append(f"PARAM {name} {' '.join(map(str, arr.shape))}")
+            lines += [" ".join(repr(float(x)) for x in row) for row in np.atleast_2d(arr)]
+        assert text == "\n".join(lines) + "\n"
+        assert "-0.0 5e-324 1e+308" in text
+
     def test_header_validation(self):
         with pytest.raises(ValueError):
             load_model("NOT A MODEL\n")

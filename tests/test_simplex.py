@@ -15,7 +15,12 @@ from confdive.instances import (
     generate_knapsack,
 )
 from confdive.simplex import NumericalBreakdown, _solve_lp_arrays, solve_lp
-from oracles import enumerate_lp_optimum, mask_dual_pivot_until_feasible, random_feasible_lp
+from oracles import (
+    bounds_under,
+    enumerate_lp_optimum,
+    mask_dual_pivot_until_feasible,
+    random_feasible_lp,
+)
 
 
 def box_lp(c, A, b, lb, ub, name="lp"):
@@ -41,19 +46,9 @@ def test_single_row_lp():
 def test_fixing_forces_vertex():
     inst = box_lp(np.array([-1.0, -1.0]), np.array([[1.0, 1.0]]), np.array([1.0]),
                   np.zeros(2), np.ones(2))
-    res = solve_lp(inst, {0: 1.0})
+    res = _solve_lp_arrays(*lp_arrays(inst, {0: 1.0}))
     assert res.objective == pytest.approx(-1.0, abs=1e-9)
     assert np.allclose(res.primal_values, [1.0, 0.0], atol=1e-9)
-
-
-def test_fixing_outside_bounds_rejected():
-    inst = box_lp(np.array([1.0]), np.zeros((0, 1)), np.zeros(0), np.zeros(1), np.ones(1))
-    free = box_lp(np.array([1.0]), np.zeros((0, 1)), np.zeros(0), np.full(1, -np.inf),
-                  np.full(1, np.inf))
-    for lp, value in ((inst, 2.0), (inst, np.nan), (free, np.nan), (free, np.inf),
-                      (free, -np.inf)):
-        with pytest.raises(ValueError, match="outside its bounds"):
-            solve_lp(lp, {0: value})
 
 
 def test_unbounded_reported():
@@ -120,7 +115,7 @@ def test_fixing_monotonicity():
         prev = base
         for j in rng.permutation(inst.n)[:4]:
             fixings[int(j)] = float(rng.integers(0, 2))
-            res = solve_lp(inst, fixings)
+            res = _solve_lp_arrays(*lp_arrays(inst, fixings))
             if res.status == "infeasible":
                 break
             assert res.objective >= prev - 1e-6
@@ -141,10 +136,9 @@ def test_determinism_bitwise():
 # ---------------------------------------------------------------------------
 
 
-def lp_arrays(inst):
+def lp_arrays(inst, fixings=None):
     A, b = inst.dense_matrix()
-    lo, hi = inst.bounds_arrays()
-    return inst.objective_vector(), A, b, lo, hi
+    return inst.objective_vector(), A, b, *bounds_under(inst, fixings)
 
 
 def seeded_lps(count):
@@ -409,7 +403,7 @@ def test_breakdown_from_an_inherited_tableau_is_re_solved_from_the_slack_basis()
     with pytest.raises(NumericalBreakdown, match="violates a row"):
         simplex._solve_dual(c, A, b, lo, hi, root.tableau)
     child = _solve_lp_arrays(c, A, b, lo, hi, tableau=root.tableau)
-    assert child.status == solve_lp(inst, {0: 1.0}).status == "infeasible"
+    assert child.status == _solve_lp_arrays(*lp_arrays(inst, {0: 1.0})).status == "infeasible"
 
 
 @pytest.mark.parametrize("bad", ["singular", "near_singular"])

@@ -3,12 +3,13 @@
     python3 tools/digests.py [--parent HEAD]
 
 Runs the five pipeline stages on the criterion-9 config of
-``tests/test_acceptance.py`` (with ``svg=true``) and on its criterion-10
-config, once in a temporary ``git worktree`` of the parent revision (removed
-afterwards) and once in the working tree, each side importing its own
-``src/``. Prints every output file whose sha256 differs or that exists on one
-side only, and exits 1 if there is any: a refactor that keeps behaviour
-writes the same bytes. The four pipelines take about 45 s on a 2-core Xeon.
+``tests/test_acceptance.py`` (with ``svg=true``), on its criterion-10 config
+and on ``FALLBACK``, once in a temporary ``git worktree`` of the parent
+revision (removed afterwards) and once in the working tree, each side
+importing its own ``src/``. Prints every output file whose sha256 differs
+or that exists on one side only, and exits 1 if there is any: a refactor
+that keeps behaviour writes the same bytes. The six pipelines take about
+32 s on a 2-core Xeon.
 """
 
 from __future__ import annotations
@@ -28,8 +29,22 @@ from pairs import ROOT, worktree
 sys.path[:0] = [str(ROOT / "tests"), str(ROOT / "src")]  # test_acceptance imports confdive
 from test_acceptance import DETERMINISM, END_TO_END  # noqa: E402
 
-#: Pipeline settings per acceptance criterion.
-CONFIGS = {"criterion9": {**END_TO_END, "svg": True}, "criterion10": DETERMINISM}
+#: A knapsack config whose low thresholds fix infeasible sets, so its
+#: gridsearch reaches ``diving.dive_and_solve``'s fallback to the unfixed
+#: solve, which neither acceptance config does.
+FALLBACK = dict(
+    family="knapsack", n_items=40, n_dims=5, n_train=8, n_valid=4, n_test=8, seed=3,
+    collect_step_limit=150, collect_emphasis="aggressive", step_limit=150, emphasis="off",
+    pool_size=8, hidden_dim=16, epochs=20, lr=0.1, batch_size=8,
+    grid=(0.6, 0.7, 0.8, 0.9, 0.99), svg=True,
+)
+
+#: Pipeline settings per acceptance criterion, then the fallback config.
+CONFIGS = {
+    "criterion9": {**END_TO_END, "svg": True},
+    "criterion10": DETERMINISM,
+    "fallback": FALLBACK,
+}
 
 #: Runs the five stages in a fresh interpreter; argv holds the output
 #: directory and the settings as JSON.
