@@ -32,7 +32,6 @@ from .evaluation import (
     EvalRow,
     EventBeyondHorizon,
     compare,
-    cumulative_reward,
     eval_configs,
     plot_primal_bound,
     primal_integral,

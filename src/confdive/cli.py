@@ -56,16 +56,8 @@ def _build_parser() -> _Parser:
 
 
 def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
-    overrides = {
-        "outdir": args.outdir,
-        "seed": args.seed,
-        "jobs": args.jobs,
-        "threshold": args.threshold,
-        "loss_mode": args.loss_mode,
-        "emphasis": args.emphasis,
-    }
-    if getattr(args, "svg", None):
-        overrides["svg"] = True
+    """The config file, overridden by each flag given; a flag's ``dest`` is its config key."""
+    overrides = {key: value for key, value in vars(args).items() if key not in ("command", "config")}
     return load_config(args.config, overrides)
 
 
@@ -100,8 +92,6 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except SystemExit:
-        raise
     except Exception as exc:  # runtime failure
         traceback.print_exception(type(exc), exc, exc.__traceback__.tb_next, file=sys.stderr)
         return 2

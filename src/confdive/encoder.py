@@ -104,13 +104,6 @@ class BipartiteGraph:
         return (_segments(self.edge_con, self.n_cons, "edge_con"),
                 _segments(self.edge_var, self.n_vars, "edge_var"))
 
-    @property
-    def edges(self) -> list[tuple[int, int, float]]:
-        return [
-            (int(ci), int(vi), float(f))
-            for ci, vi, f in zip(self.edge_con, self.edge_var, self.edge_feat)
-        ]
-
 
 def encode(instance: MilpInstance) -> BipartiteGraph:
     """Deterministic feature encoding; one edge per nonzero coefficient."""

@@ -74,10 +74,6 @@ def primal_integral(traj: IncumbentTrajectory, cfg: EvalConfig) -> float:
     return total - t_limit * cfg.reference_objective
 
 
-def cumulative_reward(traj: IncumbentTrajectory, cfg: EvalConfig) -> float:
-    return -primal_integral(traj, cfg)
-
-
 def worst_case_objective(instance: MilpInstance) -> float:
     """Largest possible objective over the box: each variable at its worst bound."""
     c = instance.objective_vector()

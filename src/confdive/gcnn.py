@@ -42,9 +42,9 @@ log-likelihood is divided by its own node count before averaging over the
 batch) and the pooled one (a single division by the total node count).
 ``loss_minibatch`` and ``loss_fullbatch`` are the training loss itself: they
 run the same code as ``train``, so they return the values it records, bit for
-bit. Training-target weights may be one scalar per solution or one weight per
-node. Targets are checked and packed into S x k value and weight matrices once
-per ``train`` call (once per call of the loss and gradient functions), and a
+bit. Each target solution carries one weight. A graph's S targets are
+checked and packed into an S x k value matrix and S weights once per
+``train`` call (once per call of the loss and gradient functions), and a
 graph's S per-solution terms are the row sums of one expression.
 """
 
@@ -140,12 +140,12 @@ def init_model(
 class TargetSolution:
     """One target assignment over a graph's binary variables plus its weight.
 
-    ``weight`` is a scalar shared by every node of the solution (the usual
-    case, produced by :func:`compute_solution_weights`) or a per-node vector.
+    ``weight`` is one scalar, as :func:`compute_solution_weights` gives; a
+    graph's S solutions pack into an S x k value matrix and S weights.
     """
 
     values: np.ndarray
-    weight: float | np.ndarray
+    weight: float
 
 
 @dataclass(eq=False)
@@ -364,14 +364,14 @@ class _PackedTargets:
 
     graph: BipartiteGraph
     values: np.ndarray  # [S, k] targets, each within 1e-9 of 0 or 1
-    weights: np.ndarray  # [S, k] finite, nonnegative per-node weights
+    weights: np.ndarray  # [S] finite, nonnegative solution weights
 
 
 def _pack_targets(item: GraphTargets) -> _PackedTargets:
     """Check every solution of ``item`` against its graph and stack them."""
     k = int(item.graph.binary_mask.sum())
     values = np.empty((len(item.solutions), k))
-    weights = np.empty((len(item.solutions), k))
+    weights = np.empty(len(item.solutions))
     for s, sol in enumerate(item.solutions):
         x = np.asarray(sol.values, dtype=np.float64)
         if x.shape != (k,):
@@ -379,9 +379,9 @@ def _pack_targets(item: GraphTargets) -> _PackedTargets:
         if not np.all((np.abs(x) <= 1e-9) | (np.abs(x - 1.0) <= 1e-9)):  # also rejects nan
             raise ValueError("target values must be 0 or 1")
         w = np.asarray(sol.weight, dtype=np.float64)
-        if w.ndim and w.shape != (k,):
-            raise ShapeMismatch(f"weight shape {w.shape} != ({k},)")
-        if not np.all(np.isfinite(w) & (w >= 0)):
+        if w.ndim:
+            raise ShapeMismatch(f"weight shape {w.shape} != (), one weight per solution")
+        if not (np.isfinite(w) and w >= 0):
             raise ValueError("solution weights must be finite and nonnegative")
         values[s], weights[s] = x, w
     return _PackedTargets(item.graph, values, weights)
@@ -398,7 +398,7 @@ def _graph_term(probs: np.ndarray, targets: _PackedTargets, want_grad: bool):
     are added in solution order, so the result does not depend on S.
     """
     p = np.clip(probs, PROB_CLAMP, 1.0 - PROB_CLAMP)
-    x, w = targets.values, targets.weights
+    x, w = targets.values, targets.weights[:, None]
     term = 0.0
     for row_sum in (w * (x * np.log(p) + (1.0 - x) * np.log1p(-p))).sum(axis=1):
         term += float(row_sum)
@@ -424,10 +424,6 @@ def loss_fullbatch(model: GcnnModel, batch: TrainingBatch) -> float:
 # ---------------------------------------------------------------------------
 # Backward
 # ---------------------------------------------------------------------------
-
-
-def zero_gradients(model: GcnnModel) -> dict[str, np.ndarray]:
-    return {name: np.zeros_like(arr) for name, arr in model.named_parameters()}
 
 
 def _affine_relu_backward(
@@ -518,7 +514,7 @@ def _loss_and_gradients(
         raise ValueError(f"unknown loss_mode {loss_mode!r}")
     if ws is None:
         ws = _Workspace((item.graph for item in batch), model.hidden_dim)
-    grads = zero_gradients(model) if want_grad else None
+    grads = {name: np.zeros_like(arr) for name, arr in model.named_parameters()} if want_grad else None
     n_total = sum(int(item.graph.binary_mask.sum()) for item in batch)
     total = 0.0
     for item in batch:

@@ -1,6 +1,6 @@
 """Oracles used by the tests: exhaustive enumerations with no solver code,
 slow reference versions of solver fast paths that must give the same bytes,
-and the bound arrays of a fixed LP."""
+the bound arrays of a fixed LP, and a graph's edges as triples."""
 
 from __future__ import annotations
 
@@ -23,6 +23,12 @@ def bounds_under(instance: MilpInstance, fixings: dict | None) -> tuple[np.ndarr
     for j, v in (fixings or {}).items():
         lo[j] = hi[j] = v
     return lo, hi
+
+
+def edge_list(graph) -> list[tuple[int, int, float]]:
+    """A ``BipartiteGraph``'s edges as (constraint, variable, feature) triples, in edge order."""
+    return [(int(ci), int(vi), float(f))
+            for ci, vi, f in zip(graph.edge_con, graph.edge_var, graph.edge_feat)]
 
 
 def enumerate_binary_optimum(instance: MilpInstance, tol: float = 1e-9):

@@ -1,3 +1,4 @@
+import argparse
 import shutil
 from dataclasses import fields
 from pathlib import Path
@@ -5,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from confdive import init_model, pipeline, save_model
-from confdive.cli import main
+from confdive.cli import _build_parser, _config_from_args, main
 from confdive.pipeline import PipelineConfig, build_dataset, load_config, parse_config_text
 
 MICRO = """\
@@ -268,7 +269,38 @@ class TestExitCodes:
             assert flag in out, flag
 
 
+#: The command-line value given to a flag that takes one, by argparse ``type``.
+SAMPLE_ARGUMENT = {int: "3", float: "0.75", None: "elsewhere"}
+
+
+def subcommand_parsers(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
 class TestOverrides:
+    @pytest.mark.parametrize("command", subcommand_parsers(_build_parser()))
+    def test_each_flag_sets_the_config_key_its_dest_names(self, command):
+        """Every optional flag of the parser but --config and --help, given a value
+        other than the default, sets the PipelineConfig field named by its dest."""
+        defaults = PipelineConfig()
+        parser = _build_parser()
+        assert _config_from_args(parser.parse_args([command])) == defaults
+        for action in subcommand_parsers(parser)[command]._actions:
+            flag = action.option_strings[-1] if action.option_strings else None
+            if flag in (None, "--config", "--help"):
+                continue
+            default = getattr(defaults, action.dest, None)
+            if action.nargs == 0:
+                argv, value = [flag], action.const
+            elif action.choices:
+                value = next(choice for choice in action.choices if choice != default)
+                argv = [flag, value]
+            else:
+                argv = [flag, SAMPLE_ARGUMENT[action.type]]
+                value = (action.type or str)(argv[1])
+            config = _config_from_args(parser.parse_args([command, *argv]))
+            assert getattr(config, action.dest) == value != default, flag
+
     def test_seed_override_changes_instances(self, workdir):
         tmp, cfg = workdir
         main(["generate", "--config", str(cfg)])

@@ -1,5 +1,6 @@
-"""The comparison of ``tools/digests.py`` and the reach of its fallback config."""
+"""The comparison of ``tools/digests.py``, the configs it runs and the reach of its fallback config."""
 
+import json
 import sys
 from pathlib import Path
 
@@ -21,6 +22,14 @@ def test_every_difference_is_listed_by_name():
     assert digests.compare(parent, tree) == [
         "b.txt: differs", "gone.sol: parent only", "new.svg: tree only",
     ]
+
+
+def test_every_benchmark_workload_is_compared_at_seed_401():
+    from stages import WORKLOADS  # tools/digests.py put benchmarks/ on the path
+
+    root = Path(__file__).resolve().parent.parent
+    names = [w["name"] for w in json.loads((root / "BENCHMARK.json").read_text())["workloads"]]
+    assert names and all(digests.CONFIGS[name] == {**WORKLOADS[name], "seed": 401} for name in names)
 
 
 def test_fallback_config_reaches_the_fallback(tmp_path):

@@ -13,6 +13,8 @@ from confdive.instances import (
 )
 from confdive.simplex import solve_lp
 
+from oracles import edge_list
+
 
 def test_degenerate_graph():
     inst = MilpInstance("one", (VarDef("x", "binary", 0, 1, 1.0),), ())
@@ -92,8 +94,8 @@ def test_permutation_equivariance(seed):
     gs = encode(shuffled)
     # row k of the shuffled encoding describes original variable perm[k]
     assert np.allclose(gs.var_feats, g.var_feats[perm], atol=1e-9)
-    orig_edges = {(ci, vi): f for ci, vi, f in g.edges}
-    for ci, vi, f in gs.edges:
+    orig_edges = {(ci, vi): f for ci, vi, f in edge_list(g)}
+    for ci, vi, f in edge_list(gs):
         assert orig_edges[(ci, int(perm[vi]))] == pytest.approx(f, abs=1e-12)
 
 
@@ -147,7 +149,7 @@ def test_row_form_keeps_term_order_and_zero_coefficients():
     assert coefs.tolist() == [2.0, -4.0, 0.0, -1.0]
 
     g = encode(inst)
-    assert g.edges == [(0, 3, 0.5), (0, 0, -1.0), (0, 2, 0.0), (1, 1, -1.0)]
+    assert edge_list(g) == [(0, 3, 0.5), (0, 0, -1.0), (0, 2, 0.0), (1, 1, -1.0)]
     assert g.con_feats[:, 1].tolist() == [3 / 4, 1 / 4, 0.0]
 
     A_walk = np.zeros((inst.m, inst.n))

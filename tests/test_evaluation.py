@@ -11,7 +11,6 @@ from confdive.evaluation import (
     EvalConfig,
     EventBeyondHorizon,
     compare,
-    cumulative_reward,
     eval_configs,
     make_row,
     plot_primal_bound,
@@ -57,7 +56,9 @@ class TestPrimalIntegral:
     def test_cumulative_reward_is_negation(self):
         cfg = EvalConfig(step_limit=10, reference_objective=2.0, no_incumbent_value=50.0)
         t = traj([(0, 10.0), (5, 4.0)])
-        assert cumulative_reward(t, cfg) == -primal_integral(t, cfg)
+        inst = generate_covering(0, 6, 3)
+        (row,), _ = compare([inst], [("plain", [t])], [cfg])
+        assert row.cumulative_reward == -primal_integral(t, cfg) == -50.0
 
     def test_config_invariants(self):
         with pytest.raises(ValueError):

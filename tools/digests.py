@@ -3,13 +3,16 @@
     python3 tools/digests.py [--parent HEAD]
 
 Runs the five pipeline stages on the criterion-9 config of
-``tests/test_acceptance.py`` (with ``svg=true``), on its criterion-10 config
-and on ``FALLBACK``, once in a temporary ``git worktree`` of the parent
-revision (removed afterwards) and once in the working tree, each side
-importing its own ``src/``. Prints every output file whose sha256 differs
-or that exists on one side only, and exits 1 if there is any: a refactor
-that keeps behaviour writes the same bytes. The six pipelines take about
-32 s on a 2-core Xeon.
+``tests/test_acceptance.py`` (with ``svg=true``), on its criterion-10 config,
+on ``FALLBACK``, and for one pass at seed 401 of each workload that
+``BENCHMARK.json`` names, with the settings of ``benchmarks/stages.py``'s
+``WORKLOADS``. So one command checks the same bytes on every pipeline that
+the acceptance tests and the benchmark judge. Each runs once in a temporary
+``git worktree`` of the parent revision (removed afterwards) and once in the
+working tree, each side importing its own ``src/``. Prints every output file
+whose sha256 differs or that exists on one side only, and exits 1 if there
+is any: a refactor that keeps behaviour writes the same bytes. The ten
+pipelines take about 30 s on a 2-core Xeon.
 """
 
 from __future__ import annotations
@@ -26,7 +29,9 @@ from pathlib import Path
 
 from pairs import ROOT, worktree
 
-sys.path[:0] = [str(ROOT / "tests"), str(ROOT / "src")]  # test_acceptance imports confdive
+# the acceptance configs (test_acceptance imports confdive) and the benchmark's WORKLOADS
+sys.path[:0] = [str(ROOT / "tests"), str(ROOT / "src"), str(ROOT / "benchmarks")]
+from stages import WORKLOADS  # noqa: E402
 from test_acceptance import DETERMINISM, END_TO_END  # noqa: E402
 
 #: A knapsack config whose low thresholds fix infeasible sets, so its
@@ -39,11 +44,14 @@ FALLBACK = dict(
     grid=(0.6, 0.7, 0.8, 0.9, 0.99), svg=True,
 )
 
-#: Pipeline settings per acceptance criterion, then the fallback config.
+#: Pipeline settings per acceptance criterion, the fallback config, then one
+#: pass at seed 401 of each workload that BENCHMARK.json runs.
 CONFIGS = {
     "criterion9": {**END_TO_END, "svg": True},
     "criterion10": DETERMINISM,
     "fallback": FALLBACK,
+    **{w["name"]: {**WORKLOADS[w["name"]], "seed": 401}
+       for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]},
 }
 
 #: Runs the five stages in a fresh interpreter; argv holds the output
