@@ -19,8 +19,7 @@ from __future__ import annotations
 
 import os
 import re
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator
@@ -255,8 +254,13 @@ _memo = _FileMemo()
 @contextmanager
 def _mapper(jobs: int) -> Iterator[Callable]:
     """``map``, or the map of a pool of ``jobs`` processes when ``jobs`` > 1."""
-    with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
-        yield map if pool is None else pool.map
+    if jobs <= 1:
+        yield map
+    else:  # the pool's modules load only here, so a serial run never imports them
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            yield pool.map
 
 
 def _pmap(fn: Callable, items: Iterable, jobs: int) -> list:

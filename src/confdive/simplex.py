@@ -3,7 +3,8 @@
 ``solve_lp`` solves an instance's unfixed relaxation only; ``bnb.solve``
 checks and applies a fixing and solves its nodes with ``_solve_lp_arrays``.
 
-Two paths share one tableau pivot, ``_pivot``:
+Two paths share one tableau layout, the constraint rows and then the
+reduced-cost row, and one pivot, ``_pivot``, a rank-1 update of all rows:
 
 - A bounded dual simplex, used when every variable has a finite lower bound
   and no cost pushes a variable toward an infinite upper bound (every binary
@@ -73,21 +74,21 @@ class DualTableau:
     node share their parent's tableau; a solve starts from copies.
     """
 
-    #: m x (n + m + 1) tableau over ``[A | I]``; the last column holds the
-    #: basic values when the other columns take their ``nonbasic_values``.
+    #: (m + 1) x (n + m + 1) tableau over ``[A | I]``: m constraint rows, whose
+    #: last column holds the basic values when the other columns take their
+    #: ``nonbasic_values``, then the reduced costs of the n + m columns and one
+    #: unused entry.
     M: np.ndarray
-    #: Reduced costs of the n + m columns, then one unused entry.
-    costrow: np.ndarray
     #: m column indices into ``[A | I]``.
     basis: np.ndarray
-    #: Value of each of the n + m columns that ``M[:, -1]`` assumes: 0 on the
+    #: Value of each of the n + m columns that ``M[:-1, -1]`` assumes: 0 on the
     #: basis, the bound the column sits at everywhere else.
     nonbasic_values: np.ndarray
     #: Pivots taken since the basis was last factorized.
     pivots: int
 
     def __post_init__(self):
-        for a in (self.M, self.costrow, self.basis, self.nonbasic_values):
+        for a in (self.M, self.basis, self.nonbasic_values):
             a.setflags(write=False)
 
     def __setstate__(self, state):  # an unpickled array comes back writable
@@ -178,18 +179,18 @@ def _solve_dual(
     if start is None:  # the slack basis is dual feasible wherever the dual path applies
         tableau = _factorize(c, A, b, None)
         start = _inherit(tableau, lo_f, hi_f)
-    M, costrow, basis, nonbasic_values, direction = start
-    p, pivots = _dual_pivot_until_feasible(M, costrow, basis, nonbasic_values, direction, lo_f, hi_f)
+    M, basis, nonbasic_values, direction = start
+    p, pivots = _dual_pivot_until_feasible(M, basis, nonbasic_values, direction, lo_f, hi_f)
     if p is not None:
         if _proves_infeasible(M[p, n:-1], A, b, lo_f, hi_f):
             return LpResult("infeasible", float("inf"), np.full(n, np.nan))
         return _solve_primal(c, A, b, lo, hi)  # the certificate did not survive recomputation
     full = nonbasic_values.copy()
-    full[basis] = M[:, -1]
+    full[basis] = M[:-1, -1]
     x = full[:n]
     x.clip(lo, hi, out=x)
     _check_rows(A, b, x)
-    final = DualTableau(M, costrow, basis, nonbasic_values, tableau.pivots + pivots)
+    final = DualTableau(M, basis, nonbasic_values, tableau.pivots + pivots)
     return LpResult("optimal", float(c @ x), x, final)
 
 
@@ -199,41 +200,38 @@ def _factorize(
     """The tableau of ``basis`` with every nonbasic column at 0, or that of the
     slack basis when ``basis`` is None, singular or ill-conditioned."""
     m, n = A.shape
-    K = np.empty((m, n + m + 1))
-    K[:, :n] = A
-    K[:, n:-1] = np.eye(m)
-    K[:, -1] = b
-    costrow = np.concatenate([c, np.zeros(m + 1)])
+    K = np.block([[A, np.eye(m), b[:, None]], [c, np.zeros(m + 1)]])
     if basis is not None:
         try:
-            M = np.linalg.solve(K[:, basis], K)
+            rows = np.linalg.solve(K[:m, basis], K[:m])
         except np.linalg.LinAlgError:
-            M = None
-        if M is not None and np.all(np.abs(M[:, :-1]) <= WARM_START_GROWTH_LIMIT):  # also rejects nan
+            rows = None
+        if rows is not None and np.all(np.abs(rows[:, :-1]) <= WARM_START_GROWTH_LIMIT):  # also rejects nan
             basis = basis.copy()  # a tableau's basis is read-only, and the pivots write to it
-            M[:, basis] = np.eye(m)
-            costrow -= costrow[basis] @ M
-            costrow[basis] = 0.0
-            return DualTableau(M, costrow, basis, np.zeros(n + m), 0)
-    return DualTableau(K, costrow, np.arange(n, n + m), np.zeros(n + m), 0)
+            M = np.concatenate([rows, K[m:]])
+            M[:m, basis] = np.eye(m)
+            M[m] -= M[m, basis] @ M[:m]
+            M[m, basis] = 0.0
+            return DualTableau(M, basis, np.zeros(n + m), 0)
+    return DualTableau(K, np.arange(n, n + m), np.zeros(n + m), 0)
 
 
 def _inherit(
     tableau: DualTableau, lo_f: np.ndarray, hi_f: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
-    """Tableau, cost row, basis, nonbasic values and entering directions that
-    start a solve from a copy of ``tableau`` under the bounds ``lo_f``,
-    ``hi_f``; None if its basis is not dual feasible under them.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
+    """Tableau, basis, nonbasic values and entering directions that start a
+    solve from a copy of ``tableau`` under the bounds ``lo_f``, ``hi_f``; None
+    if its basis is not dual feasible under them.
 
     The basis and reduced costs stay, so each nonbasic column goes to the
-    bound its reduced cost selects, and the basic values shift by ``M[:, j]``
+    bound its reduced cost selects, and the basic values shift by ``M[:-1, j]``
     times each column's move from its ``nonbasic_values`` entry. The new
     values are 0 on the basis. A column's direction is -1 at the upper bound,
     +1 at the lower one, and 0 where it is basic or fixed.
     """
     # a column with a negative reduced cost goes to its upper bound (basic ones
     # have 0); the basis is not dual feasible if that bound is infinite
-    at_upper = (tableau.costrow[:-1] < -OPTIMALITY_TOL) & (lo_f < hi_f)
+    at_upper = (tableau.M[-1, :-1] < -OPTIMALITY_TOL) & (lo_f < hi_f)
     if not np.isfinite(hi_f[at_upper]).all():
         return None
     values = np.where(at_upper, hi_f, lo_f)
@@ -242,15 +240,14 @@ def _inherit(
     moved = delta.nonzero()[0]
     M = tableau.M.copy()
     if moved.size:
-        M[:, -1] -= M[:, moved] @ delta[moved]
+        M[:-1, -1] -= M[:-1, moved] @ delta[moved]
     direction = np.where(at_upper, -1.0, lo_f < hi_f)  # 1.0 where free, 0.0 where fixed
     direction[tableau.basis] = 0.0
-    return M, tableau.costrow.copy(), tableau.basis.copy(), values, direction
+    return M, tableau.basis.copy(), values, direction
 
 
 def _dual_pivot_until_feasible(
     M: np.ndarray,
-    costrow: np.ndarray,
     basis: np.ndarray,
     nonbasic_values: np.ndarray,
     direction: np.ndarray,
@@ -263,7 +260,7 @@ def _dual_pivot_until_feasible(
     basic variable cannot reach its bounds, which proves the LP infeasible.
     Keeps ``_inherit``'s ``nonbasic_values`` and ``direction`` up to date.
     """
-    if not M.shape[0]:
+    if not basis.size:
         return None, 0
     # A column may enter where direction * alpha exceeds PIVOT_TOL, alpha the
     # pivot row negated when the leaving value drops to its lower bound; a
@@ -271,10 +268,10 @@ def _dual_pivot_until_feasible(
     toward = np.empty_like(direction)
     lo_b, hi_b = lo[basis], hi[basis]
     above, violation = np.empty_like(lo_b), np.empty_like(lo_b)
-    values = M[:, -1]
+    values = M[:-1, -1]
     degenerate = 0
     bland = False
-    for pivots in range(_iteration_limit(M)):
+    for pivots in range(_iteration_limit(M[:-1])):
         np.subtract(values, hi_b, out=above)
         np.maximum(np.subtract(lo_b, values, out=violation), above, out=violation)
         p = int(violation.argmax())
@@ -293,7 +290,7 @@ def _dual_pivot_until_feasible(
         s_alpha = row[cand]
         if not to_upper:
             np.negative(s_alpha, out=s_alpha)
-        ratios = costrow[cand]
+        ratios = M[-1, cand]
         np.maximum(np.divide(ratios, s_alpha, out=ratios), 0.0, out=ratios)
         best = np.minimum.reduce(ratios)
         tie = ratios <= best + 1e-12
@@ -310,8 +307,8 @@ def _dual_pivot_until_feasible(
             degenerate = 0
         leaving = int(basis[p])
         leaving_value = hi[leaving] if to_upper else lo[leaving]
-        _pivot(M, costrow, basis, p, q)
-        values -= leaving_value * M[:, leaving]
+        _pivot(M, basis, p, q)
+        values -= leaving_value * M[:-1, leaving]
         values[p] += nonbasic_values[q]
         lo_b[p], hi_b[p] = lo[q], hi[q]
         nonbasic_values[q] = 0.0
@@ -419,7 +416,7 @@ def _two_phase(A: np.ndarray, b: np.ndarray, c: np.ndarray) -> tuple[LpStatus, n
     n_art = int(neg.sum())
     n_cols = n_y + n_rows + n_art
 
-    M = np.zeros((n_rows, n_cols + 1))
+    M = np.zeros((n_rows + 1, n_cols + 1))  # the last row holds the reduced costs
     basis = np.empty(n_rows, dtype=np.int64)
     art_base = n_y + n_rows
     a_i = 0
@@ -438,29 +435,28 @@ def _two_phase(A: np.ndarray, b: np.ndarray, c: np.ndarray) -> tuple[LpStatus, n
             basis[i] = n_y + i
 
     if n_art:
-        cost1 = np.zeros(n_cols + 1)
-        cost1[art_base:n_cols] = 1.0
+        M[-1, art_base:n_cols] = 1.0
         for r in range(n_rows):
             if basis[r] >= art_base:
-                cost1 -= M[r]
+                M[-1] -= M[r]
         enterable = np.ones(n_cols, dtype=bool)
         enterable[art_base:] = False
-        status = _pivot_until_optimal(M, cost1, basis, enterable)
-        if status != "optimal" or -cost1[-1] > FEASIBILITY_TOL:
+        status = _pivot_until_optimal(M, basis, enterable)
+        if status != "optimal" or -M[-1, -1] > FEASIBILITY_TOL:
             return "infeasible", np.zeros(n_y)
         keep = _drive_out_artificials(M, basis, art_base)
         M = np.concatenate([M[keep, :art_base], M[keep, -1:]], axis=1)
-        basis = basis[keep]
+        basis = basis[keep[:-1]]
         n_cols = art_base
 
-    cost2 = np.zeros(n_cols + 1)
-    cost2[:n_y] = c
+    M[-1] = 0.0
+    M[-1, :n_y] = c
     for r in range(len(basis)):
         j = basis[r]
-        if cost2[j] != 0.0:
-            cost2 -= cost2[j] * M[r]
+        if M[-1, j] != 0.0:
+            M[-1] -= M[-1, j] * M[r]
     enterable = np.ones(n_cols, dtype=bool)
-    status = _pivot_until_optimal(M, cost2, basis, enterable)
+    status = _pivot_until_optimal(M, basis, enterable)
     y = np.zeros(n_y)
     for r, j in enumerate(basis):
         if j < n_y:
@@ -469,12 +465,12 @@ def _two_phase(A: np.ndarray, b: np.ndarray, c: np.ndarray) -> tuple[LpStatus, n
 
 
 def _pivot_until_optimal(
-    M: np.ndarray, costrow: np.ndarray, basis: np.ndarray, enterable: np.ndarray
+    M: np.ndarray, basis: np.ndarray, enterable: np.ndarray
 ) -> LpStatus:
     degenerate = 0
     bland = False
-    for _ in range(_iteration_limit(M)):
-        red = costrow[:-1]
+    for _ in range(_iteration_limit(M[:-1])):
+        red = M[-1, :-1]
         candidates = np.flatnonzero((red < -OPTIMALITY_TOL) & enterable)
         if candidates.size == 0:
             return "optimal"
@@ -482,12 +478,12 @@ def _pivot_until_optimal(
             q = int(candidates[0])
         else:
             q = int(candidates[np.argmin(red[candidates])])
-        col = M[:, q]
+        col = M[:-1, q]
         pos = col > PIVOT_TOL
         if not pos.any():
             return "unbounded"
-        rhs = np.maximum(M[:, -1], 0.0)
-        ratios = np.full(M.shape[0], np.inf)
+        rhs = np.maximum(M[:-1, -1], 0.0)
+        ratios = np.full(col.size, np.inf)
         ratios[pos] = rhs[pos] / col[pos]
         best = ratios.min()
         tied = np.flatnonzero(ratios <= best + 1e-12)
@@ -503,28 +499,28 @@ def _pivot_until_optimal(
                 bland = True
         else:
             degenerate = 0
-        _pivot(M, costrow, basis, p, q)
+        _pivot(M, basis, p, q)
     raise NumericalBreakdown("simplex iteration limit exceeded")
 
 
-def _iteration_limit(M: np.ndarray) -> int:
+def _iteration_limit(M: np.ndarray) -> int:  # M: the constraint rows
     return 20000 + 200 * (M.shape[0] + M.shape[1])
 
 
-def _pivot(M: np.ndarray, costrow: np.ndarray, basis: np.ndarray, p: int, q: int) -> None:
+def _pivot(M: np.ndarray, basis: np.ndarray, p: int, q: int) -> None:
     row = M[p]
     row /= row[q]
     col = M[:, q].copy()
     col[p] = 0.0
     M -= col[:, None] * row
-    costrow -= costrow[q] * row
     basis[p] = q
 
 
 def _drive_out_artificials(M: np.ndarray, basis: np.ndarray, art_base: int) -> np.ndarray:
-    """Pivot basic artificials onto real columns; returns a row keep-mask."""
+    """Pivot basic artificials onto real columns; returns a row keep-mask,
+    True on the reduced-cost row."""
     keep = np.ones(M.shape[0], dtype=bool)
-    for r in range(M.shape[0]):
+    for r in range(basis.size):
         if basis[r] < art_base:
             continue
         row = M[r, :art_base]
@@ -532,7 +528,5 @@ def _drive_out_artificials(M: np.ndarray, basis: np.ndarray, art_base: int) -> n
         if nz.size == 0:
             keep[r] = False  # redundant row
             continue
-        q = int(nz[0])
-        dummy = np.zeros(M.shape[1])
-        _pivot(M, dummy, basis, r, q)
+        _pivot(M, basis, r, int(nz[0]))
     return keep

@@ -253,7 +253,7 @@ def per_solution_graph_term(probs: np.ndarray, item, want_grad: bool):
     return term, grad
 
 
-def mask_dual_pivot_until_feasible(M, costrow, basis, nonbasic_values, direction, lo, hi):
+def mask_dual_pivot_until_feasible(M, basis, nonbasic_values, direction, lo, hi):
     """Reference for ``simplex._dual_pivot_until_feasible``: rebuilds the
     entering-candidate masks from ``at_upper`` and ``enterable`` at every pivot.
 
@@ -262,14 +262,14 @@ def mask_dual_pivot_until_feasible(M, costrow, basis, nonbasic_values, direction
     ``at_upper`` (0 on the basis) into ``nonbasic_values``. Reads the pivot, the
     iteration limit and the degenerate-pivot limit from the ``simplex`` module,
     so patches of those apply to both loops."""
-    if not M.shape[0]:
+    if not basis.size:
         return None, 0
     at_upper, enterable = direction < 0.0, direction != 0.0
     lo_b, hi_b = lo[basis], hi[basis]
     degenerate = 0
     bland = False
-    for pivots in range(simplex._iteration_limit(M)):
-        values = M[:, -1]
+    for pivots in range(simplex._iteration_limit(M[:-1])):
+        values = M[:-1, -1]
         above = values - hi_b
         violation = np.maximum(lo_b - values, above)
         p = int(np.argmax(violation))
@@ -286,7 +286,7 @@ def mask_dual_pivot_until_feasible(M, costrow, basis, nonbasic_values, direction
         cand = np.flatnonzero(enterable & (toward > PIVOT_TOL))
         if cand.size == 0:
             return p, pivots
-        ratios = np.maximum(costrow[cand] / s_alpha[cand], 0.0)
+        ratios = np.maximum(M[-1, cand] / s_alpha[cand], 0.0)
         best = ratios.min()
         tied = cand[ratios <= best + 1e-12]
         if bland:
@@ -302,8 +302,8 @@ def mask_dual_pivot_until_feasible(M, costrow, basis, nonbasic_values, direction
         leaving = int(basis[p])
         entering_value = hi[q] if at_upper[q] else lo[q]
         leaving_value = hi[leaving] if to_upper else lo[leaving]
-        simplex._pivot(M, costrow, basis, p, q)
-        M[:, -1] -= leaving_value * M[:, leaving]
+        simplex._pivot(M, basis, p, q)
+        M[:-1, -1] -= leaving_value * M[:-1, leaving]
         M[p, -1] += entering_value
         lo_b[p], hi_b[p] = lo[q], hi[q]
         at_upper[q] = enterable[q] = False

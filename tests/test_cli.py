@@ -1,4 +1,5 @@
 import argparse
+import concurrent.futures
 import shutil
 from dataclasses import fields
 from pathlib import Path
@@ -158,7 +159,8 @@ class TestPipelineChain:
         def no_pool(*args, **kwargs):
             raise AssertionError("a process pool was built")
 
-        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", no_pool)
+        # pipeline._mapper imports the pool class from its module when it builds one
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         tmp, cfg = workdir
         override(cfg, sizes)
         outputs = {"generate": "instances/test/test_0000.milp", "collect": "pools/skipped.txt",

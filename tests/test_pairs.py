@@ -71,6 +71,31 @@ def test_no_change_holds_under_neither_rule():
     assert not v.holds and not _old_rule_holds(v)
 
 
+def test_a_lower_is_better_claim_holds_when_the_tree_falls():
+    parent = [41.4, 41.5, 41.3, 41.6, 41.4, 41.5, 41.4, 41.6, 41.3, 41.5]  # peak_rss_mb
+    child = [p - 1.6 for p in parent]
+    v = pairs.judge(parent, child, "lower")
+    assert v.wins == 10 and v.gap == pytest.approx(1.6) and v.holds
+    v = pairs.judge(child, parent, "lower")
+    assert v.losses == 10 and v.gap == pytest.approx(-1.6) and not v.holds
+
+
+def test_a_higher_is_better_claim_holds_when_the_tree_rises():
+    parent = [0.50, 0.52, 0.49, 0.51, 0.50, 0.53, 0.50, 0.51, 0.52, 0.50]  # fix_feasible_rate
+    child = [p + 0.1 for p in parent]
+    v = pairs.judge(parent, child, "higher")
+    assert (v.wins, v.losses) == (10, 0) and v.gap == pytest.approx(0.1) and v.holds
+    v = pairs.judge(parent, child, "lower")  # the same runs, read as lower is better
+    assert (v.wins, v.losses) == (0, 10) and not v.holds
+    with pytest.raises(ValueError, match="direction"):
+        pairs.judge(parent, child, "sideways")
+
+
+def test_claim_names_an_end_to_end_metric():
+    with pytest.raises(SystemExit):  # a per-layer metric: argparse rejects it before any run
+        pairs.main(["--workload", "gcnn-wide", "--seed", "1", "--claim", "simplex.pivots"])
+
+
 def test_unpaired_runs_rejected():
     with pytest.raises(ValueError, match="unpaired"):
         pairs.judge(PARENT, PARENT[:-1])

@@ -3,6 +3,10 @@ wrote or read, and still write the bytes of stages run in separate processes."""
 
 import dataclasses
 import hashlib
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +26,8 @@ from confdive.pipeline import (
     run_gridsearch,
     run_train,
 )
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 SMALL = dict(
     family="covering",
@@ -176,6 +182,31 @@ def test_a_rerun_over_a_process_pool_writes_the_same_pools(tmp_path):
     assert all("root_lp" in vars(inst) for inst in pipeline.load_split(config, "train"))
     run_collect(dataclasses.replace(config, jobs=2))
     assert digests(tmp_path / "out") == first
+
+
+#: Runs the five stages in a fresh interpreter (argv: output directory, then
+#: the settings as JSON) and prints which of the process-pool modules it loaded.
+RUN_STAGES_SERIALLY = """
+import json, sys
+from confdive import pipeline
+settings = json.loads(sys.argv[2])
+settings["grid"] = tuple(settings["grid"])
+config = pipeline.PipelineConfig(outdir=sys.argv[1], **settings)
+for stage in ("generate", "collect", "train", "gridsearch", "evaluate"):
+    getattr(pipeline, "run_" + stage)(config)
+print(json.dumps(sorted(m for m in ("concurrent.futures", "multiprocessing") if m in sys.modules)))
+"""
+
+
+def test_a_serial_run_imports_no_process_pool_modules(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run(
+        [sys.executable, "-c", RUN_STAGES_SERIALLY, str(tmp_path / "out"),
+         json.dumps({**SMALL, "jobs": 1})],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert (tmp_path / "out" / "summary.csv").is_file()
+    assert json.loads(done.stdout.splitlines()[-1]) == []
 
 
 def test_the_memo_holds_only_the_last_outdirs_files(tmp_path):

@@ -198,8 +198,8 @@ def refactorizing(basis):
     """A tableau that has taken REFACTOR_PIVOTS pivots: a solve from it reads
     only ``basis``, which it factorizes."""
     unread = np.zeros(0)
-    return simplex.DualTableau(M=unread, costrow=unread, basis=np.array(basis),
-                               nonbasic_values=unread, pivots=simplex.REFACTOR_PIVOTS)
+    return simplex.DualTableau(M=unread, basis=np.array(basis), nonbasic_values=unread,
+                               pivots=simplex.REFACTOR_PIVOTS)
 
 
 def warm_start_chains(count, shift=0.0):
@@ -259,8 +259,7 @@ def test_inherited_start_moves_a_nonbasic_column_to_its_new_bound():
 
 
 def tableau_bytes(tableau):
-    return [a.tobytes() for a in (tableau.M, tableau.costrow, tableau.basis,
-                                  tableau.nonbasic_values)]
+    return [a.tobytes() for a in (tableau.M, tableau.basis, tableau.nonbasic_values)]
 
 
 def test_siblings_solve_the_same_in_either_order_and_leave_the_parent_unchanged():
@@ -333,7 +332,7 @@ def test_final_tableau_holds_the_point_of_its_basic_values(monkeypatch, refactor
         assert not values[T.basis].any()
         assert np.all((values == lo_f) | (values == hi_f) | ~nonbasic)
         full = values.copy()
-        full[T.basis] = T.M[:, -1]
+        full[T.basis] = T.M[:-1, -1]
         assert np.max(np.abs(full[n:] - (b - A @ full[:n])), initial=0.0) <= 1e-9
         assert np.array_equal(np.clip(full[:n], lo, hi), res.primal_values)
         checked += 1
@@ -485,8 +484,8 @@ def test_every_pivot_goes_through_module_pivot(monkeypatch, path):
     c, A, b, lo, hi = lp_arrays(generate_covering(8, 16, 10))
     res = solve_on(path, c, A, b, lo, hi)
     assert res.status == "optimal" and pivots
-    for M, costrow, basis, p, q in pivots:
-        assert M.ndim == 2 and costrow.shape == (M.shape[1],) and basis.shape == (M.shape[0],)
+    for M, basis, p, q in pivots:
+        assert M.ndim == 2 and basis.shape == (M.shape[0] - 1,)
 
 
 @pytest.mark.parametrize("path", ["dual", "primal"])
@@ -547,7 +546,7 @@ def test_a_cloned_root_lp_stays_read_only(clone):
     twin = clone(instance).__dict__["root_lp"]  # the cached result travels with the instance
     assert twin.primal_values.tobytes() == root.primal_values.tobytes()
     tableau = twin.tableau
-    arrays = [twin.primal_values, tableau.M, tableau.costrow, tableau.basis, tableau.nonbasic_values]
+    arrays = [twin.primal_values, tableau.M, tableau.basis, tableau.nonbasic_values]
     assert not any(a.flags.writeable for a in arrays)
 
 

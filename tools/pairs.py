@@ -1,22 +1,26 @@
 """Alternating benchmark pairs: a parent revision against the working tree.
 
-    python3 tools/pairs.py --workload covering-aggr --seed 23,5 --pairs 10 [--parent HEAD]
+    python3 tools/pairs.py --workload covering-aggr --seed 23,5 --pairs 10 \
+        [--claim pipeline_s] [--parent HEAD]
 
 Checks the parent revision out into a temporary ``git worktree`` (removed
 afterwards), then, for each seed of ``--seed`` (one seed or a comma list) in
 turn, runs ``benchmarks/run.py --trace 0`` (at its own default ``--seconds``)
 N times on each side, alternating which side goes first, and reads the
 end-to-end metrics from the JSON line each run prints. It prints one block
-per seed, judged on that seed's runs alone, as follows. For
-``pipeline_s`` (lower is better) it prints every run of each side, the median
-and the quartiles; then the wins of the working tree (ties count for neither
-side) and whether the claim rule holds. The rule is judged on the paired
-differences (parent minus working tree): the working tree wins at least 9 of
-10 pairs, and the median difference exceeds the differences' interquartile
-range. A pair's two runs follow each other, so slow drift of the machine over
-the session moves both and cancels in their difference, where it would widen
-the parent's own spread. The gap between the two sides' medians and the
-parent's interquartile range are printed beside it, not judged. For every
+per seed, judged on that seed's runs alone, as follows. For the claimed
+metric (``--claim``, any end-to-end metric of ``BENCHMARK.json``, by default
+``pipeline_s``) it prints every run of each side, the median and the
+quartiles; then the wins of the working tree (ties count for neither side)
+and whether the claim rule holds. The rule is judged on the paired
+differences, taken in the metric's ``better`` direction (parent minus working
+tree where lower is better, working tree minus parent where higher is): the
+working tree wins at least 9 of 10 pairs, and the median difference exceeds
+the differences' interquartile range. A pair's two runs follow each other,
+so slow drift of the machine over the session moves both and cancels in
+their difference, where it would widen the parent's own spread. The gap
+between the two sides' medians and the parent's interquartile range are
+printed beside it, not judged. For every
 other metric it prints each side's median and quartiles. Every end-to-end
 metric of ``BENCHMARK.json`` is then judged by its ``better`` direction and
 ``bound``: it is marked ``WORSE`` when the
@@ -58,7 +62,7 @@ from typing import Iterator
 ROOT = Path(__file__).resolve().parent.parent
 #: The declared benchmark: each end-to-end metric's direction and bound.
 BENCHMARK = ROOT / "BENCHMARK.json"
-#: The metric a claimed gain is judged on; lower is better.
+#: The metric a claimed gain is judged on unless ``--claim`` names another.
 METRIC = "pipeline_s"
 #: Share of pairs the working tree must win for a claimed gain to hold.
 WIN_SHARE = 0.9
@@ -96,8 +100,8 @@ class Verdict:
     wins: int
     losses: int
     ties: int
-    diff: Summary  # of the paired differences, parent minus working tree: > 0 is better
-    gap: float  # parent median minus working-tree median, not judged
+    diff: Summary  # of the paired differences, the working tree's gain: > 0 is better
+    gap: float  # the working tree's gain in the sides' medians, not judged
     parent_iqr: float  # not judged
 
     @property
@@ -106,18 +110,28 @@ class Verdict:
         return self.wins >= WIN_SHARE * n and self.diff.median > self.diff.iqr
 
 
-def judge(parent: list[float], child: list[float]) -> Verdict:
+def gain_sign(better: str) -> float:
+    """1 where lower is better, -1 where higher is: the sign that makes
+    ``parent - child`` the working tree's gain."""
+    if better not in ("lower", "higher"):
+        raise ValueError(f"unknown direction {better!r}")
+    return 1.0 if better == "lower" else -1.0
+
+
+def judge(parent: list[float], child: list[float], better: str = "lower") -> Verdict:
     """Pair the i-th run of each side; the claim holds when the working tree
     (``child``) wins at least WIN_SHARE of the pairs and the median paired
-    difference exceeds the differences' interquartile range (lower is better)."""
+    difference exceeds the differences' interquartile range. ``better`` is
+    the metric's direction, ``"lower"`` or ``"higher"``."""
     if len(parent) != len(child):
         raise ValueError(f"unpaired runs: {len(parent)} parent, {len(child)} child")
-    diffs = [p - c for p, c in zip(parent, child)]
+    sign = gain_sign(better)
+    diffs = [sign * (p - c) for p, c in zip(parent, child)]
     wins = sum(d > 0 for d in diffs)
     losses = sum(d < 0 for d in diffs)
     p, c = summarize(parent), summarize(child)
     return Verdict(wins, losses, len(diffs) - wins - losses, summarize(diffs),
-                   p.median - c.median, p.iqr)
+                   sign * (p.median - c.median), p.iqr)
 
 
 def load_bounds(path: Path = BENCHMARK) -> dict[str, tuple[str, float]]:
@@ -128,10 +142,7 @@ def load_bounds(path: Path = BENCHMARK) -> dict[str, tuple[str, float]]:
 
 def is_worse(parent: float, child: float, better: str, bound: float) -> bool:
     """Whether ``child`` is worse than ``parent`` by more than ``bound`` times ``parent``."""
-    if better not in ("lower", "higher"):
-        raise ValueError(f"unknown direction {better!r}")
-    excess = child - parent if better == "lower" else parent - child
-    return excess > bound * abs(parent)
+    return gain_sign(better) * (child - parent) > bound * abs(parent)
 
 
 def worse_metrics(parent: list[dict[str, float]], child: list[dict[str, float]],
@@ -239,8 +250,9 @@ def parse_seeds(text: str) -> list[int]:
 
 
 def seed_block(sides: dict[str, Path], workload: str, seed: int, n_pairs: int, parent: str,
-               bounds: dict[str, tuple[str, float]]) -> None:
-    """Run ``n_pairs`` alternating pairs at one seed and print their judged block."""
+               bounds: dict[str, tuple[str, float]], claim: str) -> None:
+    """Run ``n_pairs`` alternating pairs at one seed and print their block, the
+    claim rule judged on the end-to-end metric ``claim``."""
     runs: dict[str, list[dict[str, float]]] = {"parent": [], "tree": []}
     stages: dict[str, list[dict[str, float]]] = {"parent": [], "tree": []}
     digests: dict[str, list[str]] = {"parent": [], "tree": []}
@@ -251,23 +263,24 @@ def seed_block(sides: dict[str, Path], workload: str, seed: int, n_pairs: int, p
             runs[side].append(metrics)
             stages[side].append(stage_times)
             digests[side].append(digest)
-        print(f"seed {seed} pair {i + 1}: parent {runs['parent'][-1][METRIC]:.4f}  "
-              f"tree {runs['tree'][-1][METRIC]:.4f}", flush=True)
+        print(f"seed {seed} pair {i + 1}: parent {runs['parent'][-1][claim]:.4f}  "
+              f"tree {runs['tree'][-1][claim]:.4f}", flush=True)
 
-    print(f"# {workload} seed={seed} {METRIC}, parent={parent}")
-    judged = {side: [r[METRIC] for r in rs] for side, rs in runs.items()}
+    better = bounds[claim][0]
+    print(f"# {workload} seed={seed} {claim} ({better} is better), parent={parent}")
+    judged = {side: [r[claim] for r in rs] for side, rs in runs.items()}
     for side, values in judged.items():
         s = summarize(values)
         print(f"{side:6s} runs {' '.join(f'{v:.4f}' for v in values)}")
         print(f"{side:6s} median {s.median:.4f}  q1 {s.q1:.4f}  q3 {s.q3:.4f}  iqr {s.iqr:.4f}")
-    v = judge(judged["parent"], judged["tree"])
+    v = judge(judged["parent"], judged["tree"], better)
     print(f"tree wins {v.wins}/{n_pairs} (losses {v.losses}, ties {v.ties}); "
           f"median paired difference {v.diff.median:.4f} vs their iqr {v.diff.iqr:.4f}; "
           f"claim {'holds' if v.holds else 'does not hold'}")
     print(f"not judged: median gap {v.gap:.4f} vs parent iqr {v.parent_iqr:.4f}")
     worse = worse_metrics(runs["parent"], runs["tree"], bounds)
     for name in runs["parent"][0]:
-        if name != METRIC:
+        if name != claim:
             cells = []
             for side, rs in runs.items():
                 s = summarize([r[name] for r in rs])
@@ -292,8 +305,10 @@ def main(argv=None) -> int:
                         help="a seed, or a comma list of seeds judged one by one")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--parent", default="HEAD", help="git revision to compare against")
-    args = parser.parse_args(argv)
     bounds = load_bounds()
+    parser.add_argument("--claim", default=METRIC, choices=list(bounds),
+                        help="the end-to-end metric the claim rule is judged on")
+    args = parser.parse_args(argv)
 
     # a terminated run still stops run.py and removes its worktree: SIGTERM
     # unwinds like Ctrl-C. A shell starts background jobs with SIGINT ignored,
@@ -304,7 +319,7 @@ def main(argv=None) -> int:
     with worktree(args.parent) as parent_dir:
         sides = {"parent": parent_dir, "tree": ROOT}
         for seed in args.seed:
-            seed_block(sides, args.workload, seed, args.pairs, args.parent, bounds)
+            seed_block(sides, args.workload, seed, args.pairs, args.parent, bounds, args.claim)
     return 0
 
 
